@@ -14,17 +14,6 @@ import argparse
 import andor_mpe as am
 
 
-def decode(net, ibound, seed):
-    g = am.primal_graph(net)
-    elim = am.min_fill_order(g, seed=seed)
-    tree = am.build_pseudo_tree(g, elim)
-    ctx = am.compute_contexts(tree, g)
-    tables = am.compile_smb(net, elim, tree, ibound)
-    res = am.aobf(am.SearchProblem(net, tree, ctx, am.SmbEvaluator(tables, tree)))
-    assert res.status == "solved"
-    return res
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=12, help="input bits")
@@ -41,7 +30,9 @@ def main(argv=None):
         total_bits = 0
         for seed in range(args.batch):
             net, truth = am.gen_coding(args.n, args.parity, sigma2, seed=seed)
-            res = decode(net, args.ibound, seed)
+            res = am.aobf(am.build_problem(net, am.decompose(net, seed=seed),
+                                           args.ibound))
+            assert res.status == "solved"
             wrong = sum(1 for v, b in truth.items() if res.assignment[v] != b)
             bit_errors += wrong
             word_errors += wrong > 0

@@ -25,15 +25,6 @@ def parse_seed_range(text):
     return [int(text)]
 
 
-def build_problem(net, ibound, seed):
-    g = am.primal_graph(net)
-    elim = am.min_fill_order(g, seed=seed)
-    tree = am.build_pseudo_tree(g, elim)
-    ctx = am.compute_contexts(tree, g)
-    tables = am.compile_smb(net, elim, tree, ibound)
-    return am.SearchProblem(net, tree, ctx, am.SmbEvaluator(tables, tree)), elim, tree
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=60)
@@ -46,20 +37,22 @@ def main(argv=None):
     ap.add_argument("--out", default="ibound_sweep.csv")
     args = ap.parse_args(argv)
 
-    c = args.n - args.n // 10  # same density as the acceptance sweep
+    # same density as the acceptance sweep, capped so small n stays valid
+    c = min(args.n - args.n // 10, args.n - args.parents)
     rows = []
     nodes = {(a, i): [] for a in ("aobf", "aobb") for i in args.ibounds}
     times = {(a, i): [] for a in ("aobf", "aobb") for i in args.ibounds}
     for seed in args.seeds:
         net = am.gen_random(args.n, args.d, c, args.parents, seed=seed)
+        tree = am.decompose(net, seed=seed)
         for i in args.ibounds:
-            problem, elim, tree = build_problem(net, i, seed)
+            problem = am.build_problem(net, tree, i)
             for name, run in (("aobf", am.aobf), ("aobb", am.aobb)):
                 t0 = time.perf_counter()
                 res = run(problem)
                 dt = time.perf_counter() - t0
                 assert res.status == "solved"
-                rows.append([seed, elim.induced_width, tree.height, name, i,
+                rows.append([seed, tree.elim.induced_width, tree.height, name, i,
                              f"{res.mpe_log:.12g}", res.stats.expansions,
                              res.stats.cache_hits, f"{dt:.4f}"])
                 nodes[(name, i)].append(res.stats.expansions)

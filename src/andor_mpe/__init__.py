@@ -10,12 +10,13 @@ from .search import (SearchLimits, SearchProblem, SolveResult, aobb, aobf,
                      arc_weight)
 from .oracle import OracleResult, bucket_elimination_mpe, enumerate_mpe
 from .generators import GenSpec, gen_coding, gen_grid, gen_random
+from .cli import build_problem, decompose
 
 __all__ = [
     "BeliefNetwork", "Factor", "parse_uai", "serialize_uai", "parse_evidence",
     "apply_evidence", "primal_graph", "log_probability",
     "EliminationOrder", "PseudoTree", "min_fill_order", "build_pseudo_tree",
-    "validate_pseudo_tree", "compute_contexts",
+    "validate_pseudo_tree", "compute_contexts", "decompose", "build_problem",
     "MiniBucketTables", "SmbEvaluator", "DmbEvaluator", "compile_smb",
     "compute_dmb", "evaluate_h",
     "SearchProblem", "SearchLimits", "SolveResult", "aobf", "aobb", "arc_weight",

@@ -61,6 +61,33 @@ class RunRecord:
                 "-" if redact_time else num(self.time_s)]
 
 
+def decompose(net: model.BeliefNetwork, seed: int = 0) -> structure.PseudoTree:
+    """Min-fill order (ties broken with `seed`) and bucket tree of the primal
+    graph; the tree carries the order and its induced width as `tree.elim`."""
+    g = model.primal_graph(net)
+    return structure.build_pseudo_tree(g, structure.min_fill_order(g, seed=seed))
+
+
+def build_problem(net: model.BeliefNetwork, tree: structure.PseudoTree,
+                  ibound: int, *, heuristic: str = "smb",
+                  max_table_entries: int | None = None) -> SearchProblem:
+    """Cache contexts and the static ("smb") or dynamic ("dmb") mini-bucket
+    heuristic over `tree`, ready for `aobf`/`aobb`. Raises
+    MemoryBudgetExceeded when the mini-bucket tables outgrow
+    `max_table_entries`."""
+    contexts = structure.compute_contexts(tree, model.primal_graph(net))
+    if heuristic == "smb":
+        tables = compile_smb(net, tree.elim, tree, ibound,
+                             max_table_entries=max_table_entries)
+        evaluator = SmbEvaluator(tables, tree)
+    elif heuristic == "dmb":
+        evaluator = DmbEvaluator(net, tree.elim, tree, ibound,
+                                 max_table_entries=max_table_entries)
+    else:
+        raise ValueError(f"unknown heuristic {heuristic!r}")
+    return SearchProblem(net, tree, contexts, evaluator)
+
+
 def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
                  instance: str = "instance", algorithm: str = "aobf",
                  heuristic: str = "smb", ibound: int = 4, seed: int = 0,
@@ -92,28 +119,20 @@ def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
         mpe_log = 0.0
         assignment = {}
     else:
-        g = model.primal_graph(reduced)
-        elim = structure.min_fill_order(g, seed=seed)
-        tree = structure.build_pseudo_tree(g, elim)
-        w_star, h = elim.induced_width, tree.height
+        tree = decompose(reduced, seed=seed)
+        w_star, h = tree.elim.induced_width, tree.height
         try:
             if algorithm == "brute":
                 res = oracle.enumerate_mpe(reduced)
                 mpe_log, assignment = res.mpe_log, res.assignment
             elif algorithm == "be":
-                res = oracle.bucket_elimination_mpe(reduced, elim,
+                res = oracle.bucket_elimination_mpe(reduced, tree.elim,
                                                     max_table_entries=max_entries)
                 mpe_log, assignment = res.mpe_log, res.assignment
             else:
-                contexts = structure.compute_contexts(tree, g)
-                if heuristic == "smb":
-                    tables = compile_smb(reduced, elim, tree, ibound,
-                                         max_table_entries=max_entries)
-                    evaluator = SmbEvaluator(tables, tree)
-                else:
-                    evaluator = DmbEvaluator(reduced, elim, tree, ibound,
-                                             max_table_entries=max_entries)
-                problem = SearchProblem(reduced, tree, contexts, evaluator)
+                problem = build_problem(reduced, tree, ibound,
+                                        heuristic=heuristic,
+                                        max_table_entries=max_entries)
                 remaining = None
                 if time_limit is not None:
                     remaining = max(0.0, time_limit - (time.perf_counter() - t0))

@@ -4,7 +4,7 @@ max-product value of the subproblem they summarize."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .factor_ops import LogFactor, combine, max_out
 from .model import BeliefNetwork
@@ -43,68 +43,63 @@ class MessageRecord:
     origin: int
     dest: int | None  # None: message became a root constant
     factor: LogFactor
-    provenance: frozenset  # original factor indices combined into it
 
 
 def mini_bucket_pass(functions, elim_vars, pos, i_bound,
                      max_table_entries=None):
     """One mini-bucket elimination sweep.
 
-    `functions` is a list of (LogFactor, provenance) pairs; every scope
-    variable must be in `elim_vars` or the function is misplaced. Buckets are
-    processed in elimination order; each bucket is greedily partitioned
-    (first-fit over functions sorted by decreasing scope size) into
-    mini-buckets of joint scope at most `i_bound` variables, except that a
-    single function wider than the bound is kept whole.
+    `functions` is a list of LogFactors; every scope variable must be in
+    `elim_vars` or the function is misplaced. Buckets are processed in
+    elimination order; each bucket is greedily partitioned (first-fit over
+    functions sorted by decreasing scope size) into mini-buckets of joint
+    scope at most `i_bound` variables, except that a single function wider
+    than the bound is kept whole.
 
-    Returns (constant, records, partitions): the summed scalar output, the
-    emitted messages, and the per-bucket provenance partition.
+    Returns (constant, records): the summed scalar output and the emitted
+    messages.
     """
     if i_bound < 1:
         raise ValueError("i-bound must be >= 1")
     bucket: dict[int, list] = {v: [] for v in elim_vars}
     constant = 0.0
     records: list[MessageRecord] = []
-    partitions: dict[int, list[frozenset]] = {}
-    for f, prov in functions:
+    for f in functions:
         if not f.scope:
             constant += f.scalar()
             continue
         b = min(f.scope, key=lambda v: pos[v])
-        bucket[b].append((f, prov))
+        bucket[b].append(f)
     entries = 0
     for v in elim_vars:
         funcs = bucket[v]
         if not funcs:
-            partitions[v] = []
             continue
-        funcs.sort(key=lambda t: (-len(t[0].scope), t[0].scope))
-        minis: list[list] = []  # [joint scope set, [(factor, prov), ...]]
-        for f, prov in funcs:
+        funcs.sort(key=lambda f: (-len(f.scope), f.scope))
+        minis: list[list] = []  # [joint scope set, [factor, ...]]
+        for f in funcs:
             for mb in minis:
                 u = mb[0] | set(f.scope)
                 if len(u) <= i_bound:
                     mb[0] = u
-                    mb[1].append((f, prov))
+                    mb[1].append(f)
                     break
             else:
-                minis.append([set(f.scope), [(f, prov)]])
-        partitions[v] = [frozenset().union(*(p for _, p in mb[1])) for mb in minis]
-        for mb, prov in zip(minis, partitions[v]):
-            combined = combine([f for f, _ in mb[1]])
-            msg, _ = max_out(combined, v)
+                minis.append([set(f.scope), [f]])
+        for _, mini in minis:
+            msg, _ = max_out(combine(mini), v)
             entries += msg.table.size
             if max_table_entries is not None and entries > max_table_entries:
                 raise MemoryBudgetExceeded(
                     f"mini-bucket tables exceed {max_table_entries} entries")
             if not msg.scope:
                 constant += msg.scalar()
-                records.append(MessageRecord(v, None, msg, prov))
+                records.append(MessageRecord(v, None, msg))
             else:
                 dest = min(msg.scope, key=lambda u: pos[u])
-                bucket[dest].append((msg, prov))
-                records.append(MessageRecord(v, dest, msg, prov))
-    return constant, records, partitions
+                bucket[dest].append(msg)
+                records.append(MessageRecord(v, dest, msg))
+    return constant, records
 
 
 @dataclass(eq=False)
@@ -116,17 +111,14 @@ class MiniBucketTables:
     i_bound: int
     root_bound: float
     exiting: dict[int, list[_CompiledFn]]
-    bucket_partitions: dict[int, list[frozenset]]
     table_entries: int
 
 
 def compile_smb(net: BeliefNetwork, elim: EliminationOrder, tree: PseudoTree,
                 i_bound: int, max_table_entries: int | None = None) -> MiniBucketTables:
-    functions = [(LogFactor.from_linear(f.scope, f.table), frozenset([k]))
-                 for k, f in enumerate(net.factors)]
-    pos = elim.position
-    constant, records, partitions = mini_bucket_pass(
-        functions, list(elim.order), pos, i_bound, max_table_entries)
+    functions = [LogFactor.from_linear(f.scope, f.table) for f in net.factors]
+    constant, records = mini_bucket_pass(
+        functions, list(elim.order), elim.position, i_bound, max_table_entries)
     exiting: dict[int, list[_CompiledFn]] = {v: [] for v in elim.order}
     entries = 0
     for rec in records:
@@ -139,7 +131,7 @@ def compile_smb(net: BeliefNetwork, elim: EliminationOrder, tree: PseudoTree,
         if rec.dest is not None and cur is None:
             raise AssertionError("message destination is not an ancestor of its origin")
     return MiniBucketTables(i_bound=i_bound, root_bound=constant, exiting=exiting,
-                            bucket_partitions=partitions, table_entries=entries)
+                            table_entries=entries)
 
 
 class SmbEvaluator:
@@ -207,8 +199,8 @@ class DmbEvaluator:
         for k in self._subtree_factors[var]:
             lf = self._logfactors[k]
             fixed = {u: asg[u] for u in lf.scope if u not in ss}
-            functions.append((lf.restrict(fixed) if fixed else lf, frozenset([k])))
-        constant, records, _ = mini_bucket_pass(
+            functions.append(lf.restrict(fixed) if fixed else lf)
+        constant, records = mini_bucket_pass(
             functions, self._subtree_vars[var], self._pos, self.i_bound,
             self.max_table_entries)
         # every message is consumed inside the subtree; only constants remain

@@ -46,8 +46,8 @@ class SearchProblem:
     """Immutable per-instance precomputation shared by both algorithms.
 
     Every CPT is statically assigned to its deepest scope variable in the
-    pseudo-tree, so each CPT contributes to exactly one arc weight along any
-    root-to-leaf path.
+    pseudo-tree (a scalar factor to the root), so each CPT contributes to
+    exactly one arc weight along any root-to-leaf path.
     """
 
     def __init__(self, net: BeliefNetwork, tree: PseudoTree,
@@ -63,7 +63,7 @@ class SearchProblem:
         self.preorder = {v: tree.preorder_index(v) for v in self.variables}
         self.weight_fns: dict[int, list[_CompiledFn]] = {v: [] for v in self.variables}
         for f in net.factors:
-            wvar = max(f.scope, key=lambda u: tree.depth[u])
+            wvar = max(f.scope, key=lambda u: tree.depth[u], default=tree.root)
             self.weight_fns[wvar].append(
                 _CompiledFn(LogFactor.from_linear(f.scope, f.table)))
         self.dead_cache = {v: len(contexts[v]) - 1 == tree.depth[v]
@@ -80,13 +80,13 @@ class SearchProblem:
 def arc_weight(net: BeliefNetwork, tree: PseudoTree, path: dict[int, int],
                var: int, value: int) -> float:
     """Log arc weight of assigning `var=value` below the given path: the sum
-    of every CPT statically assigned to `var` (deepest scope variable),
-    evaluated at path plus the new assignment."""
+    of every CPT statically assigned to `var` (deepest scope variable, or the
+    root for a scalar factor), evaluated at path plus the new assignment."""
     asg = dict(path)
     asg[var] = value
     total = 0.0
     for f in net.factors:
-        wvar = max(f.scope, key=lambda u: tree.depth[u])
+        wvar = max(f.scope, key=lambda u: tree.depth[u], default=tree.root)
         if wvar != var:
             continue
         for u in f.scope:

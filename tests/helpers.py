@@ -1,4 +1,5 @@
-"""Shared fixtures: pipeline assembly and independent exact-value oracles."""
+"""Shared fixtures: a hand-checkable network and independent exact-value
+oracles."""
 
 from __future__ import annotations
 
@@ -20,21 +21,6 @@ TWO_VAR_UAI = """BAYES
 0.8 0.2
 0.1 0.9
 """
-
-
-def pipeline(net, ibound, seed=0, mode="smb"):
-    """Order, build tree/contexts, compile heuristic; returns the pieces."""
-    g = am.primal_graph(net)
-    elim = am.min_fill_order(g, seed=seed)
-    tree = am.build_pseudo_tree(g, elim)
-    ctx = am.compute_contexts(tree, g)
-    if mode == "smb":
-        tables = am.compile_smb(net, elim, tree, ibound)
-        evaluator = am.SmbEvaluator(tables, tree)
-    else:
-        evaluator = am.DmbEvaluator(net, elim, tree, ibound)
-    problem = am.SearchProblem(net, tree, ctx, evaluator)
-    return g, elim, tree, ctx, problem
 
 
 def close(a, b, tol=1e-9):

@@ -18,7 +18,7 @@ from andor_mpe.cli import main
 from andor_mpe.search import _assert_cache_bound
 from andor_mpe.structure import context_cache_bound
 
-from helpers import close, exact_subproblem_values, pipeline
+from helpers import close, exact_subproblem_values
 
 # (network, value, assignment, marked-arc weight sum or None) for every
 # solved search run produced by the criteria below; criterion 7 audits them.
@@ -66,7 +66,7 @@ def test_criterion_1_oracle_equivalence():
     for net in nets:
         exact = am.enumerate_mpe(net).mpe_log
         for ibound in (2, 4, 6):
-            _, _, _, _, problem = pipeline(net, ibound)
+            problem = am.build_problem(net, am.decompose(net), ibound)
             for res in (am.aobf(problem), am.aobb(problem)):
                 runs += 1
                 if res.status != "solved" or not close(res.mpe_log, exact):
@@ -89,7 +89,8 @@ def test_criterion_2_heuristic_admissibility():
         n = rng.randint(5, 12)
         net = am.gen_random(n, 2, n - 2, 2, seed=1000 + s)
         ibound = rng.choice([1, 2, 3])
-        _, _, tree, _, problem = pipeline(net, ibound)
+        problem = am.build_problem(net, am.decompose(net), ibound)
+        tree = problem.tree
         _, or_value, and_value = exact_subproblem_values(problem)
         ev = problem.evaluator
 
@@ -121,15 +122,10 @@ def test_criterion_3_exact_heuristic_degenerates_search():
         n = rng.randint(8, 13)
         net = am.gen_random(n, 2, n - 2, 2, seed=2000 + s)
         exact = am.enumerate_mpe(net).mpe_log
-        g = am.primal_graph(net)
-        elim = am.min_fill_order(g)
-        tree = am.build_pseudo_tree(g, elim)
-        ibound = elim.induced_width + 1
-        tables = am.compile_smb(net, elim, tree, ibound)
-        ctx = am.compute_contexts(tree, g)
-        problem = am.SearchProblem(net, tree, ctx, am.SmbEvaluator(tables, tree))
+        tree = am.decompose(net)
+        problem = am.build_problem(net, tree, tree.elim.induced_width + 1)
         res = am.aobf(problem)
-        if not close(tables.root_bound, exact):
+        if not close(problem.evaluator.tables.root_bound, exact):
             failures += 1
             continue
         if res.stats.expansions > res.solution_tree_nodes + n * 2:
@@ -149,7 +145,8 @@ def test_criterion_4_cache_entries_bounded_by_context_products():
     checked = 0
     for s in range(20):
         net = am.gen_random(14, 2, 12, 2, seed=3000 + s)
-        _, _, _, ctx, problem = pipeline(net, 2)
+        problem = am.build_problem(net, am.decompose(net), 2)
+        ctx = problem.contexts
         for res in (am.aobf(problem), am.aobb(problem)):
             checked += 1
             bound = sum(context_cache_bound(ctx[v], net.domains)
@@ -178,7 +175,7 @@ def test_criterion_5_best_first_expands_fewer_nodes():
     for s in seeds:
         net = am.gen_random(60, 2, 54, 2, seed=s)
         for i in ibounds:
-            _, _, _, _, problem = pipeline(net, i, seed=s)
+            problem = am.build_problem(net, am.decompose(net, seed=s), i)
             bf = am.aobf(problem)
             bb = am.aobb(problem)
             assert bf.status == "solved" and bb.status == "solved"
@@ -210,8 +207,9 @@ def test_criterion_6_dynamic_bound_never_looser_than_static():
     compared = 0
     for k in range(20):
         net = am.gen_random(9, 2, 7, 2, seed=100 + k)
-        _, _, tree, _, smb_problem = pipeline(net, 2, seed=k, mode="smb")
-        _, _, _, _, dmb_problem = pipeline(net, 2, seed=k, mode="dmb")
+        tree = am.decompose(net, seed=k)
+        smb_problem = am.build_problem(net, tree, 2, heuristic="smb")
+        dmb_problem = am.build_problem(net, tree, 2, heuristic="dmb")
         s_ev, d_ev = smb_problem.evaluator, dmb_problem.evaluator
         rng = random.Random(k)
         for _ in range(8):

@@ -79,6 +79,59 @@ def test_run_instance_memout_status():
     assert record.status == "memout"
 
 
+# Recorded before `decompose`/`build_problem` existed; a refactor of the
+# pipeline must leave every row unchanged.
+GOLDEN_ROWS = [
+    ['random', '12', '0', '3', '6', 'aobf', 'smb', '2', '0', 'solved', '-1.80120320291', '0.0158050835904', '52', '4', '56', '-'],
+    ['random', '12', '0', '3', '6', 'aobf', 'dmb', '2', '0', 'solved', '-1.80120320291', '0.0158050835904', '27', '0', '32', '-'],
+    ['random', '12', '0', '3', '6', 'aobb', 'smb', '2', '0', 'solved', '-1.80120320291', '0.0158050835904', '64', '0', '16', '-'],
+    ['random', '12', '0', '3', '6', 'aobb', 'dmb', '2', '0', 'solved', '-1.80120320291', '0.0158050835904', '55', '0', '20', '-'],
+    ['random', '12', '0', '3', '6', 'be', 'smb', '-', '0', 'solved', '-1.80120320291', '0.0158050835904', '0', '0', '0', '-'],
+    ['random', '12', '0', '3', '6', 'brute', 'smb', '-', '0', 'solved', '-1.80120320291', '0.0158050835904', '0', '0', '0', '-'],
+    ['grid', '16', '2', '3', '7', 'aobf', 'smb', '2', '0', 'solved', '-inf', '0', '42', '0', '46', '-'],
+    ['grid', '16', '2', '3', '7', 'aobf', 'dmb', '2', '0', 'solved', '-inf', '0', '25', '0', '28', '-'],
+    ['grid', '16', '2', '3', '7', 'aobb', 'smb', '2', '0', 'solved', '-inf', '0', '1', '0', '0', '-'],
+    ['grid', '16', '2', '3', '7', 'aobb', 'dmb', '2', '0', 'solved', '-inf', '0', '1', '0', '0', '-'],
+    ['grid', '16', '2', '3', '7', 'be', 'smb', '-', '0', 'solved', '-inf', '0', '0', '0', '0', '-'],
+    ['grid', '16', '2', '3', '7', 'brute', 'smb', '-', '0', 'solved', '-inf', '0', '0', '0', '0', '-'],
+    ['coding', '12', '0', '4', '5', 'aobf', 'smb', '2', '0', 'solved', '-4.04265436436', '9.06453720058e-05', '18', '0', '24', '-'],
+    ['coding', '12', '0', '4', '5', 'aobf', 'dmb', '2', '0', 'solved', '-4.04265436436', '9.06453720058e-05', '18', '0', '24', '-'],
+    ['coding', '12', '0', '4', '5', 'aobb', 'smb', '2', '0', 'solved', '-4.04265436436', '9.06453720058e-05', '18', '0', '6', '-'],
+    ['coding', '12', '0', '4', '5', 'aobb', 'dmb', '2', '0', 'solved', '-4.04265436436', '9.06453720058e-05', '18', '0', '6', '-'],
+    ['coding', '12', '0', '4', '5', 'be', 'smb', '-', '0', 'solved', '-4.04265436436', '9.06453720058e-05', '0', '0', '0', '-'],
+    ['coding', '12', '0', '4', '5', 'brute', 'smb', '-', '0', 'solved', '-4.04265436436', '9.06453720058e-05', '0', '0', '0', '-'],
+    # the heuristic build runs out of memory; w* and h are still reported
+    ['random', '12', '0', '3', '6', 'aobf', 'smb', '8', '0', 'memout', '-', '-', '0', '0', '0', '-'],
+]
+
+
+def test_run_instance_golden_rows():
+    runs = [("aobf", "smb"), ("aobf", "dmb"), ("aobb", "smb"), ("aobb", "dmb"),
+            ("be", "smb"), ("brute", "smb")]
+    random_net = am.gen_random(12, 2, 10, 2, seed=3)
+    grid, grid_evidence = am.gen_grid(4, 0.5, 2, seed=4)
+    coding, _ = am.gen_coding(6, 3, 0.22, seed=5)
+    rows = []
+    for name, net, evidence in [("random", random_net, {}),
+                                ("grid", grid, grid_evidence),
+                                ("coding", coding, {})]:
+        for algorithm, heuristic in runs:
+            record, _ = run_instance(net, evidence, instance=name,
+                                     algorithm=algorithm, heuristic=heuristic,
+                                     ibound=2)
+            rows.append(record.row(redact_time=True))
+    record, _ = run_instance(random_net, {}, instance="random", ibound=8,
+                             memory_limit_mb=1e-5)
+    rows.append(record.row(redact_time=True))
+    assert rows == GOLDEN_ROWS
+
+
+def test_build_problem_rejects_unknown_heuristic():
+    net = am.parse_uai(TWO_VAR_UAI)
+    with pytest.raises(ValueError, match="unknown heuristic"):
+        am.build_problem(net, am.decompose(net), 2, heuristic="nope")
+
+
 def test_csv_row_formatting():
     rec = RunRecord(instance="x", n=3, e=0, w_star=2, h=2, algorithm="aobf",
                     heuristic="smb", ibound=4, seed=0, status="solved",
@@ -133,6 +186,20 @@ def test_solve_command_print_assignment(two_var_files, capsys):
     assert code == EXIT_SOLVED
     err = capsys.readouterr().err
     assert "0=1" in err and "1=1" in err
+
+
+def test_solve_command_scalar_factor(tmp_path):
+    # TWO_VAR_UAI plus a factor over no variables, a constant 0.5
+    uai = tmp_path / "scalar.uai"
+    uai.write_text(TWO_VAR_UAI.replace("2\n1 0\n2 0 1\n", "3\n1 0\n2 0 1\n0\n")
+                   + "\n1\n0.5\n")
+    for algorithm in ("aobf", "aobb", "be", "brute"):
+        with pytest.warns(UserWarning, match="unnormalized"):
+            code, out = solve_stdout(["solve", "--input", str(uai),
+                                      "--algorithm", algorithm])
+        assert code == EXIT_SOLVED
+        rec = dict(zip(CSV_COLUMNS, next(csv.reader(io.StringIO(out)))))
+        assert close(float(rec["mpe_prob"]), 0.27, tol=1e-10)
 
 
 def test_generate_writes_instance_and_sidecars(tmp_path):

@@ -8,7 +8,7 @@ import andor_mpe as am
 from andor_mpe.factor_ops import LogFactor
 from andor_mpe.heuristics import MemoryBudgetExceeded, mini_bucket_pass
 
-from helpers import close, exact_subproblem_values, pipeline
+from helpers import close, exact_subproblem_values
 
 
 def small_net(seed, n_lo=4, n_hi=9, d=2):
@@ -37,21 +37,24 @@ def walk_nodes(problem):
     return out
 
 
-def test_mini_bucket_partition_respects_ibound():
-    net = am.gen_random(8, 2, 6, 2, seed=11)
-    functions = [(LogFactor.from_linear(f.scope, f.table), frozenset([k]))
-                 for k, f in enumerate(net.factors)]
-    elim = am.min_fill_order(am.primal_graph(net))
-    for i in (1, 2, 3):
-        _, _, partitions = mini_bucket_pass(
-            functions, list(elim.order), elim.position, i)
-        # reconstruct each mini-bucket's joint scope from provenance
-        for v, parts in partitions.items():
-            assert parts or True
-            seen = set()
-            for part in parts:
-                assert not (part & seen), "factor assigned to two mini-buckets"
-                seen |= part
+def test_mini_bucket_messages_respect_ibound():
+    # A message's scope plus its eliminated variable is its mini-bucket's
+    # joint scope: at most i variables, unless one input is wider than i.
+    checked = 0
+    for seed in range(40):
+        net = am.gen_random(14, 2, 12, 2, seed=seed)
+        functions = [LogFactor.from_linear(f.scope, f.table)
+                     for f in net.factors]
+        widest = max(len(f.scope) for f in functions)
+        elim = am.decompose(net).elim
+        pos = elim.position
+        for i in range(1, 6):
+            _, records = mini_bucket_pass(functions, list(elim.order), pos, i)
+            for r in records:
+                assert len(r.factor.scope) + 1 <= max(i, widest)
+                assert r.dest is None or pos[r.dest] > pos[r.origin]
+            checked += len(records)
+    assert checked > 1000
 
 
 def test_mini_bucket_rejects_bad_ibound():
@@ -62,19 +65,17 @@ def test_mini_bucket_rejects_bad_ibound():
 def test_mini_bucket_single_bucket_is_exact_elimination():
     net = am.parse_uai(
         "BAYES\n1\n3\n1\n1 0\n\n3\n0.2 0.5 0.3\n")
-    functions = [(LogFactor.from_linear(f.scope, f.table), frozenset([k]))
-                 for k, f in enumerate(net.factors)]
-    constant, records, _ = mini_bucket_pass(functions, [0], {0: 0}, 1)
+    functions = [LogFactor.from_linear(f.scope, f.table) for f in net.factors]
+    constant, records = mini_bucket_pass(functions, [0], {0: 0}, 1)
     assert close(constant, math.log(0.5))
     assert all(r.dest is None for r in records)
 
 
 def test_memory_budget_raises():
     net = am.gen_random(12, 2, 10, 2, seed=3)
-    elim = am.min_fill_order(am.primal_graph(net))
-    tree = am.build_pseudo_tree(am.primal_graph(net), elim)
+    tree = am.decompose(net)
     with pytest.raises(MemoryBudgetExceeded):
-        am.compile_smb(net, elim, tree, 6, max_table_entries=2)
+        am.compile_smb(net, tree.elim, tree, 6, max_table_entries=2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -82,10 +83,8 @@ def test_memory_budget_raises():
 def test_root_bound_is_admissible(seed, ibound):
     net = small_net(seed)
     exact = am.enumerate_mpe(net).mpe_log
-    g = am.primal_graph(net)
-    elim = am.min_fill_order(g)
-    tree = am.build_pseudo_tree(g, elim)
-    tables = am.compile_smb(net, elim, tree, ibound)
+    tree = am.decompose(net)
+    tables = am.compile_smb(net, tree.elim, tree, ibound)
     assert tables.root_bound >= exact - 1e-9
 
 
@@ -94,10 +93,8 @@ def test_root_bound_is_admissible(seed, ibound):
 def test_root_bound_exact_at_full_ibound(seed):
     net = small_net(seed)
     exact = am.enumerate_mpe(net).mpe_log
-    g = am.primal_graph(net)
-    elim = am.min_fill_order(g)
-    tree = am.build_pseudo_tree(g, elim)
-    tables = am.compile_smb(net, elim, tree, elim.induced_width + 1)
+    tree = am.decompose(net)
+    tables = am.compile_smb(net, tree.elim, tree, tree.elim.induced_width + 1)
     assert close(tables.root_bound, exact)
 
 
@@ -105,7 +102,7 @@ def test_root_bound_exact_at_full_ibound(seed):
 @given(seed=st.integers(0, 10_000), ibound=st.integers(1, 3))
 def test_smb_admissible_at_every_node(seed, ibound):
     net = small_net(seed, n_lo=4, n_hi=7)
-    _, _, _, _, problem = pipeline(net, ibound)
+    problem = am.build_problem(net, am.decompose(net), ibound)
     _, or_value, and_value = exact_subproblem_values(problem)
     ev = problem.evaluator
     for kind, X, x, asg in walk_nodes(problem):
@@ -121,7 +118,8 @@ def test_smb_admissible_at_every_node(seed, ibound):
 def test_smb_is_monotone(seed, ibound):
     """h(OR) >= w + h(AND) for each value, and h(AND) sums child h(OR)."""
     net = small_net(seed, n_lo=4, n_hi=7)
-    _, _, tree, _, problem = pipeline(net, ibound)
+    problem = am.build_problem(net, am.decompose(net), ibound)
+    tree = problem.tree
     ev = problem.evaluator
     for kind, X, x, asg in walk_nodes(problem):
         if kind != "or":
@@ -141,8 +139,9 @@ def test_smb_is_monotone(seed, ibound):
 @given(seed=st.integers(0, 10_000))
 def test_dmb_never_looser_than_smb(seed):
     net = small_net(seed, n_lo=4, n_hi=7)
-    _, _, _, _, smb_problem = pipeline(net, 2, mode="smb")
-    _, _, _, _, dmb_problem = pipeline(net, 2, mode="dmb")
+    tree = am.decompose(net)
+    smb_problem = am.build_problem(net, tree, 2, heuristic="smb")
+    dmb_problem = am.build_problem(net, tree, 2, heuristic="dmb")
     s_ev, d_ev = smb_problem.evaluator, dmb_problem.evaluator
     for kind, X, x, asg in walk_nodes(smb_problem):
         if kind != "or":
@@ -154,11 +153,9 @@ def test_dmb_never_looser_than_smb(seed):
 @given(seed=st.integers(0, 10_000), ibound=st.integers(1, 4))
 def test_dmb_at_root_equals_smb_root_bound(seed, ibound):
     net = small_net(seed)
-    g = am.primal_graph(net)
-    elim = am.min_fill_order(g)
-    tree = am.build_pseudo_tree(g, elim)
-    tables = am.compile_smb(net, elim, tree, ibound)
-    dmb_root = am.compute_dmb(net, elim, tree, ibound, {}, ("or", tree.root))
+    tree = am.decompose(net)
+    tables = am.compile_smb(net, tree.elim, tree, ibound)
+    dmb_root = am.compute_dmb(net, tree.elim, tree, ibound, {}, ("or", tree.root))
     assert dmb_root == tables.root_bound  # same sweep, bit-identical
 
 
@@ -166,7 +163,7 @@ def test_dmb_at_root_equals_smb_root_bound(seed, ibound):
 @given(seed=st.integers(0, 10_000))
 def test_dmb_exact_at_full_ibound(seed):
     net = small_net(seed, n_lo=4, n_hi=7)
-    _, _, _, _, problem = pipeline(net, 20, mode="dmb")
+    problem = am.build_problem(net, am.decompose(net), 20, heuristic="dmb")
     _, or_value, _ = exact_subproblem_values(problem)
     ev = problem.evaluator
     for kind, X, x, asg in walk_nodes(problem):
@@ -177,7 +174,8 @@ def test_dmb_exact_at_full_ibound(seed):
 
 def test_evaluate_h_errors():
     net = small_net(0)
-    _, _, tree, _, problem = pipeline(net, 2)
+    problem = am.build_problem(net, am.decompose(net), 2)
+    tree = problem.tree
     leafish = next(v for v in tree.parent
                    if any(fn.scope for fn in problem.evaluator._exiting[v]))
     with pytest.raises(ValueError, match="unassigned ancestor"):

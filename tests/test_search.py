@@ -9,12 +9,12 @@ import numpy as np
 import andor_mpe as am
 from andor_mpe.search import _AndNode, _OrNode, select_tip
 
-from helpers import TWO_VAR_UAI, close, exact_subproblem_values, pipeline
+from helpers import TWO_VAR_UAI, close, exact_subproblem_values
 
 
 def test_aobf_hand_checked_two_vars():
     net = am.parse_uai(TWO_VAR_UAI)
-    _, _, _, _, problem = pipeline(net, 2)
+    problem = am.build_problem(net, am.decompose(net), 2)
     res = am.aobf(problem)
     assert res.status == "solved"
     assert close(res.mpe_log, math.log(0.54))
@@ -25,7 +25,7 @@ def test_aobf_hand_checked_two_vars():
 
 def test_aobb_hand_checked_two_vars():
     net = am.parse_uai(TWO_VAR_UAI)
-    _, _, _, _, problem = pipeline(net, 2)
+    problem = am.build_problem(net, am.decompose(net), 2)
     res = am.aobb(problem)
     assert res.status == "solved"
     assert close(res.mpe_log, math.log(0.54))
@@ -40,7 +40,7 @@ def test_solvers_match_enumeration_random(seed, ibound):
     n = rng.randint(4, 11)
     net = am.gen_random(n, 2, n - 2, 2, seed=seed)
     exact = am.enumerate_mpe(net).mpe_log
-    _, _, _, _, problem = pipeline(net, ibound)
+    problem = am.build_problem(net, am.decompose(net), ibound)
     for res in (am.aobf(problem), am.aobb(problem),
                 am.aobb(problem, caching=False),
                 am.aobb(problem, dead_cache_elim=True)):
@@ -57,7 +57,7 @@ def test_solvers_match_enumeration_deterministic_grid(seed, ibound):
     if not red.variables:
         return
     exact = am.enumerate_mpe(red).mpe_log
-    _, _, _, _, problem = pipeline(red, ibound)
+    problem = am.build_problem(red, am.decompose(red), ibound)
     for res in (am.aobf(problem), am.aobb(problem)):
         assert res.status == "solved"
         assert close(res.mpe_log, exact)
@@ -70,7 +70,7 @@ def test_solvers_match_enumeration_deterministic_grid(seed, ibound):
 def test_solvers_match_enumeration_with_dmb(seed):
     net = am.gen_random(7, 2, 5, 2, seed=seed)
     exact = am.enumerate_mpe(net).mpe_log
-    _, _, _, _, problem = pipeline(net, 2, mode="dmb")
+    problem = am.build_problem(net, am.decompose(net), 2, heuristic="dmb")
     for res in (am.aobf(problem), am.aobb(problem)):
         assert res.status == "solved"
         assert close(res.mpe_log, exact)
@@ -78,7 +78,7 @@ def test_solvers_match_enumeration_with_dmb(seed):
 
 def test_coding_network_decodes_at_low_noise():
     net, truth = am.gen_coding(6, 3, 1e-4, seed=9)
-    _, _, _, _, problem = pipeline(net, 4)
+    problem = am.build_problem(net, am.decompose(net), 4)
     res = am.aobf(problem)
     assert res.status == "solved"
     assert res.assignment == truth
@@ -91,9 +91,7 @@ def test_arc_weights_telescope_to_log_probability(seed):
     rng = random.Random(seed)
     n = rng.randint(3, 10)
     net = am.gen_random(n, 2, n - 2, 2, seed=seed)
-    g = am.primal_graph(net)
-    elim = am.min_fill_order(g)
-    tree = am.build_pseudo_tree(g, elim)
+    tree = am.decompose(net)
     x = {v: rng.randrange(2) for v in net.variables}
     total = 0.0
     for v in tree.dfs_order:  # root first: ancestors always assigned
@@ -104,9 +102,7 @@ def test_arc_weights_telescope_to_log_probability(seed):
 
 def test_arc_weight_requires_assigned_scope():
     net = am.parse_uai(TWO_VAR_UAI)
-    g = am.primal_graph(net)
-    elim = am.min_fill_order(g)
-    tree = am.build_pseudo_tree(g, elim)
+    tree = am.decompose(net)
     deeper = next(v for v in tree.parent if tree.parent[v] is not None)
     with pytest.raises(ValueError, match="unassigned"):
         am.arc_weight(net, tree, {}, deeper, 0)
@@ -117,7 +113,7 @@ def test_arc_weight_requires_assigned_scope():
 def test_aobf_revised_values_never_increase(seed, ibound):
     """With a monotone heuristic, value revisions only tighten downward."""
     net = am.gen_random(7, 2, 5, 2, seed=seed)
-    _, _, _, _, problem = pipeline(net, ibound)
+    problem = am.build_problem(net, am.decompose(net), ibound)
     violations = []
 
     def on_revise(node, old_v, new_v):
@@ -133,7 +129,7 @@ def test_aobf_revised_values_never_increase(seed, ibound):
 @given(seed=st.integers(0, 100_000))
 def test_aobf_root_value_equals_exact_subproblem_oracle(seed):
     net = am.gen_random(6, 2, 4, 2, seed=seed)
-    _, _, _, _, problem = pipeline(net, 2)
+    problem = am.build_problem(net, am.decompose(net), 2)
     root_v, _, _ = exact_subproblem_values(problem)
     res = am.aobf(problem)
     assert close(res.mpe_log, root_v)
@@ -169,7 +165,7 @@ def test_empty_problem_is_trivially_solved():
 
 def test_time_limit_zero_times_out():
     net = am.gen_random(10, 2, 8, 2, seed=1)
-    _, _, _, _, problem = pipeline(net, 1)
+    problem = am.build_problem(net, am.decompose(net), 1)
     lim = am.SearchLimits(time_limit_s=0.0)
     assert am.aobf(problem, limits=lim).status == "timeout"
     assert am.aobb(problem, limits=lim).status == "timeout"
@@ -177,7 +173,7 @@ def test_time_limit_zero_times_out():
 
 def test_node_limit_memouts():
     net = am.gen_random(40, 2, 36, 2, seed=1)
-    _, _, _, _, problem = pipeline(net, 1)
+    problem = am.build_problem(net, am.decompose(net), 1)
     res = am.aobf(problem, limits=am.SearchLimits(max_nodes=5))
     assert res.status == "memout"
     assert res.assignment is None
@@ -189,7 +185,7 @@ def test_aobb_incumbent_reported_on_timeout():
     # a generous-but-finite budget: whatever the status, the incumbent value
     # must be attainable or -inf
     net = am.gen_random(20, 2, 16, 2, seed=4)
-    _, _, _, _, problem = pipeline(net, 2)
+    problem = am.build_problem(net, am.decompose(net), 2)
     res = am.aobb(problem, limits=am.SearchLimits(time_limit_s=1e-3))
     assert res.status in ("solved", "timeout")
     if res.status == "timeout" and res.mpe_log != -math.inf:
@@ -199,7 +195,7 @@ def test_aobb_incumbent_reported_on_timeout():
 
 def test_aobb_caching_flags_affect_stats_not_value():
     net = am.gen_random(14, 2, 12, 2, seed=7)
-    _, _, _, _, problem = pipeline(net, 2)
+    problem = am.build_problem(net, am.decompose(net), 2)
     full = am.aobb(problem)
     nocache = am.aobb(problem, caching=False)
     deadelim = am.aobb(problem, dead_cache_elim=True)
@@ -215,7 +211,8 @@ def test_aobb_caching_flags_affect_stats_not_value():
 def test_cache_entries_respect_context_bound(seed):
     from andor_mpe.structure import context_cache_bound
     net = am.gen_random(12, 2, 10, 2, seed=seed)
-    _, _, _, ctx, problem = pipeline(net, 2)
+    problem = am.build_problem(net, am.decompose(net), 2)
+    ctx = problem.contexts
     for res in (am.aobf(problem), am.aobb(problem)):
         total_bound = sum(context_cache_bound(ctx[v], net.domains)
                           for v in net.variables)
@@ -233,7 +230,7 @@ def test_zero_probability_network_yields_neg_inf():
                            factors=factors)
     exact = am.enumerate_mpe(net).mpe_log
     assert exact == -math.inf
-    _, _, _, _, problem = pipeline(net, 2)
+    problem = am.build_problem(net, am.decompose(net), 2)
     for res in (am.aobf(problem), am.aobb(problem)):
         assert res.status == "solved"
         assert res.mpe_log == -math.inf
