@@ -5,9 +5,8 @@ from .model import (BeliefNetwork, Factor, apply_evidence, log_probability,
 from .structure import (EliminationOrder, PseudoTree, build_pseudo_tree,
                         compute_contexts, min_fill_order, validate_pseudo_tree)
 from .heuristics import (DmbEvaluator, MiniBucketTables, SmbEvaluator,
-                         compile_smb, compute_dmb, evaluate_h)
-from .search import (SearchLimits, SearchProblem, SolveResult, aobb, aobf,
-                     arc_weight)
+                         compile_smb)
+from .search import SearchLimits, SearchProblem, SolveResult, aobb, aobf
 from .oracle import OracleResult, bucket_elimination_mpe, enumerate_mpe
 from .generators import GenSpec, gen_coding, gen_grid, gen_random
 from .cli import build_problem, decompose
@@ -18,8 +17,7 @@ __all__ = [
     "EliminationOrder", "PseudoTree", "min_fill_order", "build_pseudo_tree",
     "validate_pseudo_tree", "compute_contexts", "decompose", "build_problem",
     "MiniBucketTables", "SmbEvaluator", "DmbEvaluator", "compile_smb",
-    "compute_dmb", "evaluate_h",
-    "SearchProblem", "SearchLimits", "SolveResult", "aobf", "aobb", "arc_weight",
+    "SearchProblem", "SearchLimits", "SolveResult", "aobf", "aobb",
     "OracleResult", "enumerate_mpe", "bucket_elimination_mpe",
     "GenSpec", "gen_random", "gen_grid", "gen_coding",
 ]

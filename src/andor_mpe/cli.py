@@ -264,24 +264,33 @@ def cmd_bench(args) -> int:
     time_limit = manifest.get("time_limit")
     memory_limit = manifest.get("memory_limit_mb")
     payloads = []
-    for inst in instances:
-        for algorithm in algorithms:
-            for i in ibounds:
-                payloads.append((inst["uai"], inst.get("evidence"),
-                                 inst.get("id", inst["uai"]), algorithm,
-                                 heuristic, i, seed, time_limit, memory_limit))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(_bench_cell, payloads))
-    else:
-        records = [_bench_cell(p) for p in payloads]
-    # Per-configuration averages over solved cells.
+    try:
+        for inst in instances:
+            if not isinstance(inst, dict) or "uai" not in inst:
+                raise ValueError(f'manifest instance {inst!r} has no "uai" path')
+            for algorithm in algorithms:
+                for i in ibounds:
+                    payloads.append((inst["uai"], inst.get("evidence"),
+                                     inst.get("id", inst["uai"]), algorithm,
+                                     heuristic, i, seed, time_limit,
+                                     memory_limit))
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                records = list(pool.map(_bench_cell, payloads))
+        else:
+            records = [_bench_cell(p) for p in payloads]
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    # Solved records of each (algorithm, i) configuration.
+    cells = {(algorithm, i): [r for r in records
+                              if r.algorithm == algorithm and r.ibound == i
+                              and r.status == "solved"]
+             for algorithm in algorithms for i in ibounds}
     averages = []
     for algorithm in algorithms:
         for i in ibounds:
-            cell = [r for r in records
-                    if r.algorithm == algorithm and r.ibound == i
-                    and r.status == "solved"]
+            cell = cells[algorithm, i]
             if not cell:
                 continue
             averages.append(RunRecord(
@@ -308,9 +317,7 @@ def cmd_bench(args) -> int:
             for i in ibounds:
                 cols = [str(i)]
                 for algorithm in algorithms:
-                    cell = [r for r in records
-                            if r.algorithm == algorithm and r.ibound == i
-                            and r.status == "solved"]
+                    cell = cells[algorithm, i]
                     if cell:
                         cols.append(format(sum(r.time_s for r in cell) / len(cell),
                                            ".6g"))

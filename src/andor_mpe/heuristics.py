@@ -108,7 +108,6 @@ class MiniBucketTables:
     `exiting[X]` holds every message generated inside X's subtree whose
     destination bucket lies outside it."""
 
-    i_bound: int
     root_bound: float
     exiting: dict[int, list[_CompiledFn]]
     table_entries: int
@@ -130,19 +129,23 @@ def compile_smb(net: BeliefNetwork, elim: EliminationOrder, tree: PseudoTree,
             cur = tree.parent[cur]
         if rec.dest is not None and cur is None:
             raise AssertionError("message destination is not an ancestor of its origin")
-    return MiniBucketTables(i_bound=i_bound, root_bound=constant, exiting=exiting,
+    return MiniBucketTables(root_bound=constant, exiting=exiting,
                             table_entries=entries)
+
+
+def _h_and(self, var: int, asg) -> float:
+    """The `h_and` of both evaluators: the sum of the children's `h_or`."""
+    total = 0.0
+    for c in self._children[var]:
+        total += self.h_or(c, asg)
+    return total
 
 
 class SmbEvaluator:
     """Static heuristic: table lookups over the pre-compiled messages."""
 
-    mode = "static"
-
     def __init__(self, tables: MiniBucketTables, tree: PseudoTree):
         self.tables = tables
-        self.tree = tree
-        self.i_bound = tables.i_bound
         self._exiting = tables.exiting
         self._children = tree.children
 
@@ -152,26 +155,16 @@ class SmbEvaluator:
             total += fn(asg)
         return total
 
-    def h_and(self, var: int, asg) -> float:
-        # asg must already assign `var`.
-        total = 0.0
-        for c in self._children[var]:
-            total += self.h_or(c, asg)
-        return total
+    h_and = _h_and
 
 
 class DmbEvaluator:
     """Dynamic heuristic: a fresh mini-bucket sweep over the conditioned
     subproblem at every evaluated node."""
 
-    mode = "dynamic"
-
     def __init__(self, net: BeliefNetwork, elim: EliminationOrder,
                  tree: PseudoTree, i_bound: int,
                  max_table_entries: int | None = None):
-        self.net = net
-        self.elim = elim
-        self.tree = tree
         self.i_bound = i_bound
         self.max_table_entries = max_table_entries
         pos = elim.position
@@ -207,31 +200,4 @@ class DmbEvaluator:
         assert all(r.dest is None or r.dest in ss for r in records)
         return constant
 
-    def h_and(self, var: int, asg) -> float:
-        total = 0.0
-        for c in self._children[var]:
-            total += self.h_or(c, asg)
-        return total
-
-
-def evaluate_h(evaluator, path_assignment: dict[int, int], node) -> float:
-    """Heuristic value of a search node, given the assignment of its
-    pseudo-tree ancestors. `node` is ("or", var) or ("and", var, value)."""
-    try:
-        if node[0] == "or":
-            return evaluator.h_or(node[1], path_assignment)
-        if node[0] == "and":
-            asg = dict(path_assignment)
-            asg[node[1]] = node[2]
-            return evaluator.h_and(node[1], asg)
-    except KeyError as e:
-        raise ValueError(f"unassigned ancestor {e.args[0]} in path assignment")
-    raise ValueError(f"unknown node kind {node[0]!r}")
-
-
-def compute_dmb(net: BeliefNetwork, elim: EliminationOrder, tree: PseudoTree,
-                i_bound: int, path_assignment: dict[int, int], node,
-                max_table_entries: int | None = None) -> float:
-    """Dynamic mini-bucket bound for one node (fresh sweep, nothing cached)."""
-    ev = DmbEvaluator(net, elim, tree, i_bound, max_table_entries)
-    return evaluate_h(ev, path_assignment, node)
+    h_and = _h_and

@@ -15,8 +15,12 @@ class UAIParseError(ValueError):
     """Malformed UAI input; carries the offending line number."""
 
     def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+        # Both arguments stay in `args`, so the error pickles (process pools).
+        super().__init__(message, line)
         self.line = line
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
 
 
 @dataclass(eq=False)
@@ -31,10 +35,6 @@ class Factor:
     scope: tuple[int, ...]
     table: np.ndarray  # linear probabilities, shape = domain sizes of scope
     child: int | None = None
-
-    def log_table(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.table)
 
     def is_normalized(self, domains: dict[int, int]) -> bool:
         if self.child is None:

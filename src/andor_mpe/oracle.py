@@ -18,7 +18,6 @@ DEFAULT_ENUMERATION_CAP = 1 << 22
 class OracleResult:
     mpe_log: float
     assignment: dict[int, int]
-    method: str
 
 
 def enumerate_mpe(net: BeliefNetwork, cap: int = DEFAULT_ENUMERATION_CAP) -> OracleResult:
@@ -26,7 +25,7 @@ def enumerate_mpe(net: BeliefNetwork, cap: int = DEFAULT_ENUMERATION_CAP) -> Ora
     smallest assignment (variables in declaration order)."""
     variables = net.variables
     if not variables:
-        return OracleResult(0.0, {}, "enumeration")
+        return OracleResult(0.0, {})
     shape = tuple(net.domains[v] for v in variables)
     size = math.prod(shape)
     if size > cap:
@@ -37,7 +36,7 @@ def enumerate_mpe(net: BeliefNetwork, cap: int = DEFAULT_ENUMERATION_CAP) -> Ora
     flat = int(joint.argmax())
     idx = np.unravel_index(flat, shape)
     assignment = {v: int(x) for v, x in zip(variables, idx)}
-    return OracleResult(float(joint[idx]), assignment, "enumeration")
+    return OracleResult(float(joint[idx]), assignment)
 
 
 def bucket_elimination_mpe(net: BeliefNetwork, elim: EliminationOrder,
@@ -46,7 +45,7 @@ def bucket_elimination_mpe(net: BeliefNetwork, elim: EliminationOrder,
     if set(elim.order) != set(net.variables):
         raise ValueError("elimination order does not cover the network variables")
     if not net.variables:
-        return OracleResult(0.0, {}, "bucket-elimination")
+        return OracleResult(0.0, {})
     pos = elim.position
     buckets: dict[int, list[LogFactor]] = {v: [] for v in elim.order}
     constant = 0.0
@@ -76,4 +75,4 @@ def bucket_elimination_mpe(net: BeliefNetwork, elim: EliminationOrder,
     assignment: dict[int, int] = {}
     for v, scope, arg in reversed(back):
         assignment[v] = int(arg[tuple(assignment[u] for u in scope)])
-    return OracleResult(constant, assignment, "bucket-elimination")
+    return OracleResult(constant, assignment)

@@ -4,10 +4,9 @@ and depth-first branch-and-bound (AOBB) with full context caching."""
 from __future__ import annotations
 
 import heapq
-import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .factor_ops import LogFactor
 from .heuristics import _CompiledFn
@@ -29,7 +28,6 @@ class SearchStats:
     expansions: int = 0
     cache_hits: int = 0
     cache_entries: int = 0
-    elapsed_s: float = 0.0
 
 
 @dataclass
@@ -48,11 +46,16 @@ class SearchProblem:
     Every CPT is statically assigned to its deepest scope variable in the
     pseudo-tree (a scalar factor to the root), so each CPT contributes to
     exactly one arc weight along any root-to-leaf path.
+
+    The search asks the model only for `weight(X, asg)` and for the
+    evaluator's `h_or(X, asg)`, an upper bound on the OR node of X, and
+    `h_and(X, asg)`, one on the subproblem below the AND node <X, asg[X]>.
+    `asg` is a list indexed by variable or a dict; it must assign every
+    pseudo-tree ancestor of X, and X itself for `weight` and `h_and`.
     """
 
     def __init__(self, net: BeliefNetwork, tree: PseudoTree,
                  contexts: dict[int, tuple[int, ...]], evaluator):
-        self.net = net
         self.tree = tree
         self.contexts = contexts
         self.evaluator = evaluator
@@ -75,28 +78,6 @@ class SearchProblem:
         for fn in self.weight_fns[var]:
             total += fn(asg)
         return total
-
-
-def arc_weight(net: BeliefNetwork, tree: PseudoTree, path: dict[int, int],
-               var: int, value: int) -> float:
-    """Log arc weight of assigning `var=value` below the given path: the sum
-    of every CPT statically assigned to `var` (deepest scope variable, or the
-    root for a scalar factor), evaluated at path plus the new assignment."""
-    asg = dict(path)
-    asg[var] = value
-    total = 0.0
-    for f in net.factors:
-        wvar = max(f.scope, key=lambda u: tree.depth[u], default=tree.root)
-        if wvar != var:
-            continue
-        for u in f.scope:
-            if u not in asg:
-                raise ValueError(f"scope variable {u} unassigned on the path")
-        entry = float(f.table[tuple(asg[u] for u in f.scope)])
-        if entry <= 0.0:
-            return NEG_INF
-        total += math.log(entry)
-    return total
 
 
 class _OrNode:
@@ -277,7 +258,6 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
             asg[v] = -1
 
     stats.cache_entries = sum(len(d) for d in cache.values())
-    stats.elapsed_s = time.perf_counter() - t0
     _assert_cache_bound(cache, problem.contexts, problem.domains)
     if status != "solved":
         return SolveResult(status, root.v, None, stats)
@@ -329,8 +309,6 @@ def aobb(problem: SearchProblem, caching: bool = True,
     dead = problem.dead_cache
     asg = [-1] * problem.size
     cache: dict[int, dict] = {v: {} for v in problem.variables}
-    sys.setrecursionlimit(max(sys.getrecursionlimit(),
-                              10000 + 8 * len(problem.variables)))
     incumbent = [NEG_INF, None]
     check = [0]
 
@@ -413,14 +391,16 @@ def aobb(problem: SearchProblem, caching: bool = True,
         return total, merged
 
     status = "solved"
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 10000 + 8 * len(problem.variables)))
     try:
         solve_or(tree.root, NEG_INF, track=True)
     except _Abort as e:
         status = e.status
+    finally:
+        sys.setrecursionlimit(old_limit)
     stats.cache_entries = sum(len(d) for d in cache.values())
-    stats.elapsed_s = time.perf_counter() - t0
-    _assert_cache_bound(
-        {v: d for v, d in cache.items()}, problem.contexts, problem.domains)
+    _assert_cache_bound(cache, problem.contexts, problem.domains)
     if status != "solved":
         return SolveResult(status, incumbent[0], None, stats)
     assignment = dict(incumbent[1]) if incumbent[1] is not None else {}

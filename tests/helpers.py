@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import math
 
-import andor_mpe as am
-
 TWO_VAR_UAI = """BAYES
 2
 2 2
@@ -37,7 +35,7 @@ def exact_subproblem_values(problem):
     exact value below an AND node (asg must assign X and its ancestors) and
     `or_value(X, asg)` the exact value of the matching OR node.
     """
-    tree, net = problem.tree, problem.net
+    tree = problem.tree
     asg: dict[int, int] = {}
     and_values: dict = {}  # keyed by (var, context assignment): complete,
     # since a child's context never mentions variables outside its parent's
@@ -45,9 +43,8 @@ def exact_subproblem_values(problem):
     def ex_or(X):
         best = -math.inf
         for x in range(problem.domains[X]):
-            w = am.arc_weight(net, tree, asg, X, x)
             asg[X] = x
-            best = max(best, w + ex_and(X))
+            best = max(best, problem.weight(X, asg) + ex_and(X))
             del asg[X]
         return best
 
@@ -70,10 +67,8 @@ def exact_subproblem_values(problem):
         best = -math.inf
         for x in range(problem.domains[X]):
             path = dict(full_asg)
-            path.pop(X, None)
-            w = am.arc_weight(net, tree, path, X, x)
             path[X] = x
-            best = max(best, w + and_value(X, path))
+            best = max(best, problem.weight(X, path) + and_value(X, path))
         return best
 
     return root_v, or_value, and_value

@@ -263,7 +263,8 @@ def test_bench_runs_sweep_and_averages(tmp_path):
     code = main(["bench", "--manifest", str(manifest), "--out", str(out_csv),
                  "--plot-data", str(plot), "--redact-time"])
     assert code == EXIT_SOLVED
-    rows = list(csv.reader(out_csv.open()))
+    with out_csv.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS
     body = rows[1:]
     plain = [r for r in body if not r[0].startswith("AVERAGE")]
@@ -306,3 +307,25 @@ def test_bench_parallel_matches_serial(tmp_path):
 def test_bench_missing_manifest(tmp_path, capsys):
     code = main(["bench", "--manifest", str(tmp_path / "missing.json")])
     assert code == EXIT_INPUT_ERROR
+
+
+BAD_INSTANCES = {
+    "missing file": ({"uai": "missing.uai"}, "No such file"),
+    "no uai path": ({"id": "x"}, 'has no "uai" path'),
+    "not an object": ("bad.uai", 'has no "uai" path'),
+    "malformed file": ({"uai": "bad.uai"}, "line 3: expected integer"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_bench_bad_instance_is_input_error(tmp_path, monkeypatch, capsys,
+                                           case, workers):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.uai").write_text("BAYES\n2\n2 x\n")
+    entry, message = BAD_INSTANCES[case]
+    (tmp_path / "m.json").write_text(json.dumps({"instances": [entry],
+                                                 "ibounds": [2]}))
+    code = main(["bench", "--manifest", "m.json", "--workers", workers])
+    assert code == EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err

@@ -107,10 +107,9 @@ def test_smb_admissible_at_every_node(seed, ibound):
     ev = problem.evaluator
     for kind, X, x, asg in walk_nodes(problem):
         if kind == "or":
-            assert am.evaluate_h(ev, asg, ("or", X)) >= or_value(X, asg) - 1e-9
+            assert ev.h_or(X, asg) >= or_value(X, asg) - 1e-9
         else:
-            path = {u: v for u, v in asg.items() if u != X}
-            assert am.evaluate_h(ev, path, ("and", X, x)) >= and_value(X, asg) - 1e-9
+            assert ev.h_and(X, asg) >= and_value(X, asg) - 1e-9
 
 
 @settings(max_examples=15, deadline=None)
@@ -155,7 +154,7 @@ def test_dmb_at_root_equals_smb_root_bound(seed, ibound):
     net = small_net(seed)
     tree = am.decompose(net)
     tables = am.compile_smb(net, tree.elim, tree, ibound)
-    dmb_root = am.compute_dmb(net, tree.elim, tree, ibound, {}, ("or", tree.root))
+    dmb_root = am.DmbEvaluator(net, tree.elim, tree, ibound).h_or(tree.root, {})
     assert dmb_root == tables.root_bound  # same sweep, bit-identical
 
 
@@ -170,15 +169,3 @@ def test_dmb_exact_at_full_ibound(seed):
         if kind != "or":
             continue
         assert close(ev.h_or(X, asg), or_value(X, asg))
-
-
-def test_evaluate_h_errors():
-    net = small_net(0)
-    problem = am.build_problem(net, am.decompose(net), 2)
-    tree = problem.tree
-    leafish = next(v for v in tree.parent
-                   if any(fn.scope for fn in problem.evaluator._exiting[v]))
-    with pytest.raises(ValueError, match="unassigned ancestor"):
-        am.evaluate_h(problem.evaluator, {}, ("or", leafish))
-    with pytest.raises(ValueError, match="unknown node kind"):
-        am.evaluate_h(problem.evaluator, {}, ("nor", 0))

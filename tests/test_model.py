@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -31,6 +32,10 @@ def test_parse_errors_name_line_numbers():
         am.parse_uai("MARKOV\n1\n2\n0\n")
     with pytest.raises(UAIParseError, match="non-numeric"):
         am.parse_uai("BAYES\n1\n2\n1\n1 0\n\n2\n0.6 oops\n")
+    with pytest.raises(UAIParseError) as info:
+        am.parse_uai("BAYES\n2\n2 x\n")
+    copy = pickle.loads(pickle.dumps(info.value))  # as a worker process returns it
+    assert (copy.line, str(copy)) == (3, str(info.value))
 
 
 def test_parse_warns_on_unnormalized_rows():

@@ -18,7 +18,8 @@ def test_ibound_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     load_script("ibound_sweep").main(["--n", "10", "--seeds", "0:2",
                                       "--ibounds", "2", "3", "--out", str(out)])
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["seed", "w_star", "h", "algorithm", "ibound", "mpe_log",
                        "nodes", "cache_hits", "time_s"]
     assert len(rows) == 1 + 2 * 2 * 2  # seeds x i-bounds x algorithms

@@ -1,13 +1,13 @@
 import math
+import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
 import andor_mpe as am
-from andor_mpe.search import _AndNode, _OrNode, select_tip
+from andor_mpe.search import _OrNode, select_tip
 
 from helpers import TWO_VAR_UAI, close, exact_subproblem_values
 
@@ -92,20 +92,14 @@ def test_arc_weights_telescope_to_log_probability(seed):
     n = rng.randint(3, 10)
     net = am.gen_random(n, 2, n - 2, 2, seed=seed)
     tree = am.decompose(net)
+    problem = am.build_problem(net, tree, 1)
     x = {v: rng.randrange(2) for v in net.variables}
     total = 0.0
-    for v in tree.dfs_order:  # root first: ancestors always assigned
+    for v in tree.dfs_order:  # only the path to v is assigned
         path = {u: x[u] for u in tree.ancestors(v)}
-        total += am.arc_weight(net, tree, path, v, x[v])
+        path[v] = x[v]
+        total += problem.weight(v, path)
     assert close(total, am.log_probability(net, x))
-
-
-def test_arc_weight_requires_assigned_scope():
-    net = am.parse_uai(TWO_VAR_UAI)
-    tree = am.decompose(net)
-    deeper = next(v for v in tree.parent if tree.parent[v] is not None)
-    with pytest.raises(ValueError, match="unassigned"):
-        am.arc_weight(net, tree, {}, deeper, 0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -150,8 +144,6 @@ def test_empty_problem_is_trivially_solved():
                          depth={}, dfs_order=())
 
     class _Zero:
-        i_bound = 0
-
         def h_or(self, var, asg):
             return 0.0
 
@@ -169,6 +161,21 @@ def test_time_limit_zero_times_out():
     lim = am.SearchLimits(time_limit_s=0.0)
     assert am.aobf(problem, limits=lim).status == "timeout"
     assert am.aobb(problem, limits=lim).status == "timeout"
+
+
+def test_aobb_restores_recursion_limit():
+    net = am.gen_random(10, 2, 8, 2, seed=1)
+    problem = am.build_problem(net, am.decompose(net), 1)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert am.aobb(problem).status == "solved"
+        assert sys.getrecursionlimit() == 1000
+        lim = am.SearchLimits(time_limit_s=0)
+        assert am.aobb(problem, limits=lim).status == "timeout"
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_node_limit_memouts():
@@ -246,8 +253,6 @@ def test_dead_cache_detection_on_chain():
     ctx = am.compute_contexts(tree, g)
 
     class _Zero:
-        i_bound = 0
-
         def h_or(self, var, asg):
             return 0.0
 
