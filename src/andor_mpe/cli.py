@@ -92,8 +92,7 @@ def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
                  instance: str = "instance", algorithm: str = "aobf",
                  heuristic: str = "smb", ibound: int = 4, seed: int = 0,
                  time_limit: float | None = None,
-                 memory_limit_mb: float | None = None, caching: bool = True,
-                 dead_cache_elim: bool = False):
+                 memory_limit_mb: float | None = None):
     """Full solving pipeline; returns (RunRecord, full assignment or None).
 
     Wall time covers ordering, heuristic compilation and search; parsing and
@@ -140,8 +139,7 @@ def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
                 if algorithm == "aobf":
                     res = aobf(problem, limits=limits)
                 elif algorithm == "aobb":
-                    res = aobb(problem, caching=caching,
-                               dead_cache_elim=dead_cache_elim, limits=limits)
+                    res = aobb(problem, limits=limits)
                 else:
                     raise ValueError(f"unknown algorithm {algorithm!r}")
                 status = res.status
@@ -190,8 +188,7 @@ def cmd_solve(args) -> int:
         record, assignment = run_instance(
             net, evidence, instance=args.input, algorithm=args.algorithm,
             heuristic=args.heuristic, ibound=args.ibound, seed=args.seed,
-            time_limit=args.time_limit, memory_limit_mb=args.memory_limit,
-            caching=not args.no_caching, dead_cache_elim=args.dead_cache_elim)
+            time_limit=args.time_limit, memory_limit_mb=args.memory_limit)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -253,6 +250,8 @@ def cmd_bench(args) -> int:
     try:
         with open(args.manifest) as fh:
             manifest = json.load(fh)
+        if not isinstance(manifest, dict):
+            raise ValueError("the manifest is not a JSON object")
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -265,9 +264,19 @@ def cmd_bench(args) -> int:
     memory_limit = manifest.get("memory_limit_mb")
     payloads = []
     try:
+        for name in ("instances", "algorithms", "ibounds"):
+            if not isinstance(manifest.get(name, []), list):
+                raise ValueError(f'manifest "{name}" is not a list')
+        for i in ibounds:
+            if type(i) is not int:
+                raise ValueError(f"manifest i-bound {i!r} is not an integer")
         for inst in instances:
             if not isinstance(inst, dict) or "uai" not in inst:
                 raise ValueError(f'manifest instance {inst!r} has no "uai" path')
+            for key in ("uai", "evidence", "id"):
+                if key in inst and not isinstance(inst[key], str):
+                    raise ValueError(f'manifest instance {inst!r}: "{key}" is '
+                                     f"not a string")
             for algorithm in algorithms:
                 for i in ibounds:
                     payloads.append((inst["uai"], inst.get("evidence"),
@@ -329,8 +338,17 @@ def cmd_bench(args) -> int:
     return EXIT_SOLVED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_INPUT_ERROR on a usage error: argparse's own code 2
+    is EXIT_TIMEOUT here. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="andor-mpe",
         description="Exact MPE solving over AND/OR search graphs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -346,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--time-limit", type=float, default=None)
     ps.add_argument("--memory-limit", type=float, default=None,
                     help="approximate budget in MB")
-    ps.add_argument("--no-caching", action="store_true")
-    ps.add_argument("--dead-cache-elim", action="store_true")
     ps.add_argument("--csv-header", action="store_true")
     ps.add_argument("--print-assignment", action="store_true",
                     help="print var=value pairs on stderr")

@@ -62,13 +62,15 @@ class BeliefNetwork:
     def validate(self) -> None:
         declared = set(self.variables)
         for k, f in enumerate(self.factors):
+            if len(set(f.scope)) != len(f.scope):
+                raise ValueError(f"factor {k} scope {f.scope} repeats a variable")
             if not set(f.scope) <= declared:
                 raise ValueError(f"factor {k} scope {f.scope} not a subset of variables")
             shape = tuple(self.domains[v] for v in f.scope)
             if f.table.shape != shape:
                 raise ValueError(f"factor {k} table shape {f.table.shape} != {shape}")
-            if np.any(f.table < 0):
-                raise ValueError(f"factor {k} has negative entries")
+            if not np.all(f.table >= 0):  # also catches NaN
+                raise ValueError(f"factor {k} has negative or NaN entries")
             # Likelihood factors (child None) may carry density values > 1.
             if f.child is not None and np.any(f.table > 1 + 1e-9):
                 raise ValueError(f"factor {k} has CPT entries above 1")
@@ -130,6 +132,8 @@ def parse_uai(text: str) -> BeliefNetwork:
         for v in scope:
             if v not in domains:
                 raise UAIParseError(f"factor {k} references unknown variable {v}", line)
+        if len(set(scope)) != len(scope):
+            raise UAIParseError(f"factor {k} scope {scope} repeats a variable", line)
         scopes.append(scope)
     factors = []
     unnormalized = []
@@ -147,12 +151,12 @@ def parse_uai(text: str) -> BeliefNetwork:
         if not f.is_normalized(domains):
             unnormalized.append(k)
         factors.append(f)
+    net = BeliefNetwork(variables=list(range(n)), domains=domains, factors=factors)
+    net.validate()
     if unnormalized:
         warnings.warn(
             f"factors {unnormalized} have unnormalized CPT rows; "
             "solving max-product over the given tables", stacklevel=2)
-    net = BeliefNetwork(variables=list(range(n)), domains=domains, factors=factors)
-    net.validate()
     return net
 
 

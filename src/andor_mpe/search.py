@@ -37,7 +37,6 @@ class SolveResult:
     assignment: dict[int, int] | None
     stats: SearchStats
     marked_weight_sum: float | None = None
-    solution_tree_nodes: int | None = None
 
 
 class SearchProblem:
@@ -69,8 +68,6 @@ class SearchProblem:
             wvar = max(f.scope, key=lambda u: tree.depth[u], default=tree.root)
             self.weight_fns[wvar].append(
                 _CompiledFn(LogFactor.from_linear(f.scope, f.table)))
-        self.dead_cache = {v: len(contexts[v]) - 1 == tree.depth[v]
-                           for v in self.variables}
 
     def weight(self, var: int, asg) -> float:
         """Arc weight into <var, asg[var]>; asg must cover the tree path."""
@@ -264,11 +261,9 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
     # Read the solution off the marked arcs.
     assignment: dict[int, int] = {}
     weight_sum = 0.0
-    sol_nodes = 0
     stack = [root]
     while stack:
         nd = stack.pop()
-        sol_nodes += 1
         if isinstance(nd, _OrNode):
             m = nd.marked
             weight_sum += m.w
@@ -281,7 +276,7 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
         assert abs(weight_sum - root.v) <= 1e-9 * max(1.0, abs(root.v)), \
             "marked arc weights disagree with the root value"
     return SolveResult("solved", root.v, assignment, stats,
-                       marked_weight_sum=weight_sum, solution_tree_nodes=sol_nodes)
+                       marked_weight_sum=weight_sum)
 
 
 class _Abort(Exception):
@@ -289,9 +284,7 @@ class _Abort(Exception):
         self.status = status
 
 
-def aobb(problem: SearchProblem, caching: bool = True,
-         dead_cache_elim: bool = False,
-         limits: SearchLimits | None = None) -> SolveResult:
+def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveResult:
     """Depth-first branch-and-bound on the same AND/OR graph. At each OR node
     children are tried in decreasing (weight + h) order; a branch is pruned
     when its bound cannot strictly beat the relevant incumbent. Exactly
@@ -306,7 +299,6 @@ def aobb(problem: SearchProblem, caching: bool = True,
     domains = problem.domains
     children = problem.children
     contexts = problem.contexts
-    dead = problem.dead_cache
     asg = [-1] * problem.size
     cache: dict[int, dict] = {v: {} for v in problem.variables}
     incumbent = [NEG_INF, None]
@@ -346,8 +338,8 @@ def aobb(problem: SearchProblem, caching: bool = True,
                 val = w
                 sub = {}
             else:
-                key = tuple(asg[u] for u in contexts[X]) if caching else None
-                hit = cache[X].get(key) if caching else None
+                key = tuple(asg[u] for u in contexts[X])
+                hit = cache[X].get(key)
                 if hit is not None:
                     stats.cache_hits += 1
                     vsub, sub = hit
@@ -356,8 +348,7 @@ def aobb(problem: SearchProblem, caching: bool = True,
                     if r is None:
                         continue
                     vsub, sub = r
-                    if caching and not (dead_cache_elim and dead[X]):
-                        cache[X][key] = (vsub, sub)
+                    cache[X][key] = (vsub, sub)
                 val = w + vsub
             if val > best:
                 best = val

@@ -314,18 +314,57 @@ BAD_INSTANCES = {
     "no uai path": ({"id": "x"}, 'has no "uai" path'),
     "not an object": ("bad.uai", 'has no "uai" path'),
     "malformed file": ({"uai": "bad.uai"}, "line 3: expected integer"),
+    "uai not a string": ({"uai": 1}, '"uai" is not a string'),
+    "evidence not a string": ({"uai": "ok.uai", "evidence": 0},
+                              '"evidence" is not a string'),
+    "id not a string": ({"uai": "ok.uai", "id": 5}, '"id" is not a string'),
 }
+BAD_MANIFESTS = {case: ({"instances": [entry], "ibounds": [2]}, message)
+                 for case, (entry, message) in BAD_INSTANCES.items()}
+OK_INSTANCES = [{"uai": "ok.uai"}]
+BAD_MANIFESTS.update({
+    "top level not an object": (OK_INSTANCES, "not a JSON object"),
+    "instances not a list": ({"instances": 7}, '"instances" is not a list'),
+    "algorithms not a list": ({"instances": OK_INSTANCES, "algorithms": "aobf"},
+                              '"algorithms" is not a list'),
+    "ibounds not a list": ({"instances": OK_INSTANCES, "ibounds": 3},
+                           '"ibounds" is not a list'),
+    "ibound not an int": ({"instances": OK_INSTANCES, "ibounds": [2.5]},
+                          "i-bound 2.5 is not an integer"),
+    "ibound a bool": ({"instances": OK_INSTANCES, "ibounds": [True]},
+                      "i-bound True is not an integer"),
+})
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
 def test_bench_bad_instance_is_input_error(tmp_path, monkeypatch, capsys,
                                            case, workers):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.uai").write_text("BAYES\n2\n2 x\n")
-    entry, message = BAD_INSTANCES[case]
-    (tmp_path / "m.json").write_text(json.dumps({"instances": [entry],
-                                                 "ibounds": [2]}))
+    (tmp_path / "ok.uai").write_text(TWO_VAR_UAI)
+    manifest, message = BAD_MANIFESTS[case]
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
     code = main(["bench", "--manifest", "m.json", "--workers", workers])
     assert code == EXIT_INPUT_ERROR
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--no-caching"], EXIT_INPUT_ERROR),
+    (["--ibound", "x"], EXIT_INPUT_ERROR),
+    (["--help"], EXIT_SOLVED),
+], ids=["unknown flag", "bad ibound", "help"])
+def test_usage_errors_exit_input_error(two_var_files, argv, code):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--input", str(two_var_files[0])] + argv)
+    assert info.value.code == code
+
+
+@pytest.mark.parametrize("algorithm", ["aobf", "aobb", "brute", "be"])
+def test_solve_rejects_nan_entry(tmp_path, capsys, algorithm):
+    uai = tmp_path / "nan.uai"
+    uai.write_text(TWO_VAR_UAI.replace("0.4 0.6", "nan 0.6"))
+    code = main(["solve", "--input", str(uai), "--algorithm", algorithm])
+    assert code == EXIT_INPUT_ERROR
+    assert "error: factor 0 has negative or NaN entries" in capsys.readouterr().err

@@ -36,6 +36,16 @@ def test_parse_errors_name_line_numbers():
         am.parse_uai("BAYES\n2\n2 x\n")
     copy = pickle.loads(pickle.dumps(info.value))  # as a worker process returns it
     assert (copy.line, str(copy)) == (3, str(info.value))
+    with pytest.raises(UAIParseError, match=r"line 5: factor 0 scope \(0, 0\) repeats"):
+        am.parse_uai("BAYES\n1\n2\n1\n2 0 0\n\n4\n0.5 0.5 0.5 0.5\n")
+
+
+def test_validate_rejects_nan_and_repeated_scope_variables():
+    nan = am.BeliefNetwork([0], {0: 2}, [am.Factor((0,), np.array([np.nan, 1.0]), 0)])
+    repeated = am.BeliefNetwork([0], {0: 2}, [am.Factor((0, 0), np.full((2, 2), 0.5), 0)])
+    for net, message in ((nan, "NaN"), (repeated, "repeats a variable")):
+        with pytest.raises(ValueError, match=message):
+            net.validate()
 
 
 def test_parse_warns_on_unnormalized_rows():
