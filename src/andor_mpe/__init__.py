@@ -3,7 +3,7 @@
 from .model import (BeliefNetwork, Factor, apply_evidence, log_probability,
                     parse_evidence, parse_uai, primal_graph, serialize_uai)
 from .structure import (EliminationOrder, PseudoTree, build_pseudo_tree,
-                        compute_contexts, min_fill_order, validate_pseudo_tree)
+                        min_fill_order, validate_pseudo_tree)
 from .heuristics import (DmbEvaluator, MiniBucketTables, SmbEvaluator,
                          compile_smb)
 from .search import SearchLimits, SearchProblem, SolveResult, aobb, aobf
@@ -15,7 +15,7 @@ __all__ = [
     "BeliefNetwork", "Factor", "parse_uai", "serialize_uai", "parse_evidence",
     "apply_evidence", "primal_graph", "log_probability",
     "EliminationOrder", "PseudoTree", "min_fill_order", "build_pseudo_tree",
-    "validate_pseudo_tree", "compute_contexts", "decompose", "build_problem",
+    "validate_pseudo_tree", "decompose", "build_problem",
     "MiniBucketTables", "SmbEvaluator", "DmbEvaluator", "compile_smb",
     "SearchProblem", "SearchLimits", "SolveResult", "aobf", "aobb",
     "OracleResult", "enumerate_mpe", "bucket_elimination_mpe",

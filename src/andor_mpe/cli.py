@@ -63,7 +63,8 @@ class RunRecord:
 
 def decompose(net: model.BeliefNetwork, seed: int = 0) -> structure.PseudoTree:
     """Min-fill order (ties broken with `seed`) and bucket tree of the primal
-    graph; the tree carries the order and its induced width as `tree.elim`."""
+    graph; the tree carries the order and its induced width as `tree.elim`
+    and the cache contexts as `tree.contexts`."""
     g = model.primal_graph(net)
     return structure.build_pseudo_tree(g, structure.min_fill_order(g, seed=seed))
 
@@ -71,21 +72,19 @@ def decompose(net: model.BeliefNetwork, seed: int = 0) -> structure.PseudoTree:
 def build_problem(net: model.BeliefNetwork, tree: structure.PseudoTree,
                   ibound: int, *, heuristic: str = "smb",
                   max_table_entries: int | None = None) -> SearchProblem:
-    """Cache contexts and the static ("smb") or dynamic ("dmb") mini-bucket
-    heuristic over `tree`, ready for `aobf`/`aobb`. Raises
-    MemoryBudgetExceeded when the mini-bucket tables outgrow
-    `max_table_entries`."""
-    contexts = structure.compute_contexts(tree, model.primal_graph(net))
+    """The static ("smb") or dynamic ("dmb") mini-bucket heuristic over
+    `tree`, ready for `aobf`/`aobb`. Raises MemoryBudgetExceeded when the
+    mini-bucket tables outgrow `max_table_entries`."""
     if heuristic == "smb":
-        tables = compile_smb(net, tree.elim, tree, ibound,
+        tables = compile_smb(net, tree, ibound,
                              max_table_entries=max_table_entries)
         evaluator = SmbEvaluator(tables, tree)
     elif heuristic == "dmb":
-        evaluator = DmbEvaluator(net, tree.elim, tree, ibound,
+        evaluator = DmbEvaluator(net, tree, ibound,
                                  max_table_entries=max_table_entries)
     else:
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    return SearchProblem(net, tree, contexts, evaluator)
+    return SearchProblem(net, tree, evaluator)
 
 
 def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
@@ -270,6 +269,15 @@ def cmd_bench(args) -> int:
         for i in ibounds:
             if type(i) is not int:
                 raise ValueError(f"manifest i-bound {i!r} is not an integer")
+        if type(seed) is not int:
+            raise ValueError(f'manifest "seed" {seed!r} is not an integer')
+        for name, value in (("time_limit", time_limit),
+                            ("memory_limit_mb", memory_limit)):
+            if value is not None and type(value) not in (int, float):
+                raise ValueError(f'manifest "{name}" {value!r} is not a number')
+        if heuristic not in ("smb", "dmb"):
+            raise ValueError(f'manifest "heuristic" {heuristic!r} is not '
+                             f'"smb" or "dmb"')
         for inst in instances:
             if not isinstance(inst, dict) or "uai" not in inst:
                 raise ValueError(f'manifest instance {inst!r} has no "uai" path')

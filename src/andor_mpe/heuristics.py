@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .factor_ops import LogFactor, combine, max_out
 from .model import BeliefNetwork
-from .structure import EliminationOrder, PseudoTree
+from .structure import PseudoTree
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -113,8 +113,9 @@ class MiniBucketTables:
     table_entries: int
 
 
-def compile_smb(net: BeliefNetwork, elim: EliminationOrder, tree: PseudoTree,
-                i_bound: int, max_table_entries: int | None = None) -> MiniBucketTables:
+def compile_smb(net: BeliefNetwork, tree: PseudoTree, i_bound: int,
+                max_table_entries: int | None = None) -> MiniBucketTables:
+    elim = tree.elim
     functions = [LogFactor.from_linear(f.scope, f.table) for f in net.factors]
     constant, records = mini_bucket_pass(
         functions, list(elim.order), elim.position, i_bound, max_table_entries)
@@ -162,12 +163,11 @@ class DmbEvaluator:
     """Dynamic heuristic: a fresh mini-bucket sweep over the conditioned
     subproblem at every evaluated node."""
 
-    def __init__(self, net: BeliefNetwork, elim: EliminationOrder,
-                 tree: PseudoTree, i_bound: int,
+    def __init__(self, net: BeliefNetwork, tree: PseudoTree, i_bound: int,
                  max_table_entries: int | None = None):
         self.i_bound = i_bound
         self.max_table_entries = max_table_entries
-        pos = elim.position
+        pos = tree.elim.position
         self._pos = pos
         self._logfactors = [LogFactor.from_linear(f.scope, f.table)
                             for f in net.factors]

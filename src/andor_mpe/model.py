@@ -69,10 +69,10 @@ class BeliefNetwork:
             shape = tuple(self.domains[v] for v in f.scope)
             if f.table.shape != shape:
                 raise ValueError(f"factor {k} table shape {f.table.shape} != {shape}")
-            if not np.all(f.table >= 0):  # also catches NaN
-                raise ValueError(f"factor {k} has negative or NaN entries")
+            if not (np.isfinite(f.table) & (f.table >= 0)).all():
+                raise ValueError(f"factor {k} has negative, NaN or infinite entries")
             # Likelihood factors (child None) may carry density values > 1.
-            if f.child is not None and np.any(f.table > 1 + 1e-9):
+            if f.child is not None and (f.table > 1 + 1e-9).any():
                 raise ValueError(f"factor {k} has CPT entries above 1")
         for v, x in self.evidence.items():
             if not 0 <= x < self.domains.get(v, 0):

@@ -53,10 +53,9 @@ class SearchProblem:
     pseudo-tree ancestor of X, and X itself for `weight` and `h_and`.
     """
 
-    def __init__(self, net: BeliefNetwork, tree: PseudoTree,
-                 contexts: dict[int, tuple[int, ...]], evaluator):
+    def __init__(self, net: BeliefNetwork, tree: PseudoTree, evaluator):
         self.tree = tree
-        self.contexts = contexts
+        self.contexts = tree.contexts
         self.evaluator = evaluator
         self.variables = list(net.variables)
         self.size = max(self.variables) + 1 if self.variables else 0

@@ -27,6 +27,7 @@ class PseudoTree:
     height: int
     depth: dict[int, int]
     dfs_order: tuple[int, ...]  # preorder
+    contexts: dict[int, tuple[int, ...]]  # see build_pseudo_tree
     elim: EliminationOrder | None = None
     _preorder_index: dict[int, int] = field(default=None, repr=False)
 
@@ -36,14 +37,6 @@ class PseudoTree:
 
     def preorder_index(self, v: int) -> int:
         return self._preorder_index[v]
-
-    def ancestors(self, v: int) -> list[int]:
-        out = []
-        p = self.parent[v]
-        while p is not None:
-            out.append(p)
-            p = self.parent[p]
-        return out
 
     def subtree(self, v: int) -> list[int]:
         """All variables of the subtree rooted at v, v first."""
@@ -111,43 +104,36 @@ def min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     return EliminationOrder(order=tuple(order), induced_width=width)
 
 
-def induced_graph(g: Graph, order: tuple[int, ...]) -> Graph:
-    """Adjacency of the graph triangulated along `order`."""
-    work = _copy_graph(g)
-    full = _copy_graph(g)
-    for v in order:
-        nbrs = list(work[v])
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                a, b = nbrs[i], nbrs[j]
-                work[a].add(b)
-                work[b].add(a)
-                full[a].add(b)
-                full[b].add(a)
-        for u in nbrs:
-            work[u].discard(v)
-        del work[v]
-    return full
-
-
 def build_pseudo_tree(g: Graph, elim: EliminationOrder) -> PseudoTree:
-    """Bucket-tree construction over the induced graph.
+    """Bucket tree and cache contexts from one elimination of `g` along
+    `elim.order`.
 
-    Each vertex's parent is its earliest-eliminated induced neighbor among
-    those eliminated later; the last-eliminated vertex is the root. Roots of
-    disconnected components are attached below the global root, which keeps
-    the result a single tree without introducing back-arc violations.
+    When v is eliminated, its remaining neighbors N(v) are the vertices
+    eliminated after it that share an induced-graph edge with it. v's parent
+    is the member of N(v) eliminated earliest; the last-eliminated vertex is
+    the root, and a vertex with an empty N(v) (the root of a disconnected
+    component) hangs below the root, which keeps the result a single tree
+    without introducing back-arc violations. Every member of N(v) is an
+    ancestor of v, so v's context is N(v) in root-to-leaf order followed by
+    v itself: exactly the ancestors of v adjacent in `g` to some vertex of
+    v's subtree.
     """
     order = elim.order
     pos = elim.position
     if set(order) != set(g):
         raise ValueError("elimination order does not cover the graph")
-    ind = induced_graph(g, order)
+    work = _copy_graph(g)
+    later: dict[int, set[int]] = {}
+    for v in order:
+        later[v] = nbrs = work.pop(v)
+        for u in nbrs:
+            work[u].discard(v)
+            work[u].update(nbrs)
+            work[u].discard(u)
     root = order[-1]
     parent: dict[int, int | None] = {root: None}
     for v in order[:-1]:
-        later = [u for u in ind[v] if pos[u] > pos[v]]
-        parent[v] = min(later, key=lambda u: pos[u]) if later else root
+        parent[v] = min(later[v], key=lambda u: pos[u]) if later[v] else root
     children: dict[int, list[int]] = {v: [] for v in order}
     for v, p in parent.items():
         if p is not None:
@@ -165,8 +151,11 @@ def build_pseudo_tree(g: Graph, elim: EliminationOrder) -> PseudoTree:
             depth[c] = depth[v] + 1
             stack.append(c)
     height = max(depth.values())
+    contexts = {v: tuple(sorted(later[v], key=depth.__getitem__)) + (v,)
+                for v in order}
     return PseudoTree(parent=parent, children=children, root=root, height=height,
-                      depth=depth, dfs_order=tuple(dfs), elim=elim)
+                      depth=depth, dfs_order=tuple(dfs), contexts=contexts,
+                      elim=elim)
 
 
 def validate_pseudo_tree(t: PseudoTree, g: Graph) -> bool:
@@ -180,23 +169,6 @@ def validate_pseudo_tree(t: PseudoTree, g: Graph) -> bool:
             if not (t.is_ancestor(u, v) or t.is_ancestor(v, u)):
                 return False
     return True
-
-
-def compute_contexts(t: PseudoTree, g: Graph) -> dict[int, tuple[int, ...]]:
-    """Per-variable cache contexts: ancestors with induced-graph edges
-    crossing below the variable, plus the variable itself (listed last,
-    ancestors in root-to-leaf order)."""
-    if t.elim is None:
-        raise ValueError("pseudo-tree carries no elimination order")
-    pos = t.elim.position
-    ind = induced_graph(g, t.elim.order)
-    contexts = {}
-    for v in t.parent:
-        anc = [u for u in ind[v] if pos[u] > pos[v]]
-        anc.sort(key=lambda u: t.depth[u])
-        assert all(t.is_ancestor(u, v) for u in anc)
-        contexts[v] = tuple(anc) + (v,)
-    return contexts
 
 
 def context_cache_bound(context: tuple[int, ...], domains: dict[int, int]) -> int:

@@ -333,6 +333,21 @@ BAD_MANIFESTS.update({
                           "i-bound 2.5 is not an integer"),
     "ibound a bool": ({"instances": OK_INSTANCES, "ibounds": [True]},
                       "i-bound True is not an integer"),
+    "seed a string": ({"instances": OK_INSTANCES, "seed": "x"},
+                      "\"seed\" 'x' is not an integer"),
+    "seed a bool": ({"instances": OK_INSTANCES, "seed": False},
+                    '"seed" False is not an integer'),
+    "time_limit a string": ({"instances": OK_INSTANCES, "time_limit": "5"},
+                            "\"time_limit\" '5' is not a number"),
+    "time_limit a bool": ({"instances": OK_INSTANCES, "time_limit": True},
+                          '"time_limit" True is not a number'),
+    "memory_limit_mb a string": ({"instances": OK_INSTANCES,
+                                  "memory_limit_mb": "1"},
+                                 "\"memory_limit_mb\" '1' is not a number"),
+    "heuristic a number": ({"instances": OK_INSTANCES, "heuristic": 3},
+                           '"heuristic" 3 is not "smb" or "dmb"'),
+    "heuristic unknown": ({"instances": OK_INSTANCES, "heuristic": "exact"},
+                          "\"heuristic\" 'exact' is not \"smb\" or \"dmb\""),
 })
 
 
@@ -363,8 +378,13 @@ def test_usage_errors_exit_input_error(two_var_files, argv, code):
 
 @pytest.mark.parametrize("algorithm", ["aobf", "aobb", "brute", "be"])
 def test_solve_rejects_nan_entry(tmp_path, capsys, algorithm):
-    uai = tmp_path / "nan.uai"
-    uai.write_text(TWO_VAR_UAI.replace("0.4 0.6", "nan 0.6"))
-    code = main(["solve", "--input", str(uai), "--algorithm", algorithm])
-    assert code == EXIT_INPUT_ERROR
-    assert "error: factor 0 has negative or NaN entries" in capsys.readouterr().err
+    # a NaN CPT entry, and a scalar inf factor beside a one-variable CPT
+    cases = [(TWO_VAR_UAI.replace("0.4 0.6", "nan 0.6"), 0),
+             ("BAYES\n1\n2\n2\n1 0\n0\n\n2\n0.4 0.6\n\n1\ninf\n", 1)]
+    for text, k in cases:
+        uai = tmp_path / "bad.uai"
+        uai.write_text(text)
+        code = main(["solve", "--input", str(uai), "--algorithm", algorithm])
+        assert code == EXIT_INPUT_ERROR
+        assert (f"error: factor {k} has negative, NaN or infinite entries"
+                in capsys.readouterr().err)

@@ -75,7 +75,7 @@ def test_memory_budget_raises():
     net = am.gen_random(12, 2, 10, 2, seed=3)
     tree = am.decompose(net)
     with pytest.raises(MemoryBudgetExceeded):
-        am.compile_smb(net, tree.elim, tree, 6, max_table_entries=2)
+        am.compile_smb(net, tree, 6, max_table_entries=2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,7 +84,7 @@ def test_root_bound_is_admissible(seed, ibound):
     net = small_net(seed)
     exact = am.enumerate_mpe(net).mpe_log
     tree = am.decompose(net)
-    tables = am.compile_smb(net, tree.elim, tree, ibound)
+    tables = am.compile_smb(net, tree, ibound)
     assert tables.root_bound >= exact - 1e-9
 
 
@@ -94,7 +94,7 @@ def test_root_bound_exact_at_full_ibound(seed):
     net = small_net(seed)
     exact = am.enumerate_mpe(net).mpe_log
     tree = am.decompose(net)
-    tables = am.compile_smb(net, tree.elim, tree, tree.elim.induced_width + 1)
+    tables = am.compile_smb(net, tree, tree.elim.induced_width + 1)
     assert close(tables.root_bound, exact)
 
 
@@ -153,8 +153,8 @@ def test_dmb_never_looser_than_smb(seed):
 def test_dmb_at_root_equals_smb_root_bound(seed, ibound):
     net = small_net(seed)
     tree = am.decompose(net)
-    tables = am.compile_smb(net, tree.elim, tree, ibound)
-    dmb_root = am.DmbEvaluator(net, tree.elim, tree, ibound).h_or(tree.root, {})
+    tables = am.compile_smb(net, tree, ibound)
+    dmb_root = am.DmbEvaluator(net, tree, ibound).h_or(tree.root, {})
     assert dmb_root == tables.root_bound  # same sweep, bit-identical
 
 

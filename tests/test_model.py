@@ -42,8 +42,10 @@ def test_parse_errors_name_line_numbers():
 
 def test_validate_rejects_nan_and_repeated_scope_variables():
     nan = am.BeliefNetwork([0], {0: 2}, [am.Factor((0,), np.array([np.nan, 1.0]), 0)])
+    inf = am.BeliefNetwork([0], {0: 2}, [am.Factor((), np.array(np.inf))])
     repeated = am.BeliefNetwork([0], {0: 2}, [am.Factor((0, 0), np.full((2, 2), 0.5), 0)])
-    for net, message in ((nan, "NaN"), (repeated, "repeats a variable")):
+    for net, message in ((nan, "NaN"), (inf, "infinite"),
+                         (repeated, "repeats a variable")):
         with pytest.raises(ValueError, match=message):
             net.validate()
 

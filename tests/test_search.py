@@ -93,8 +93,11 @@ def test_arc_weights_telescope_to_log_probability(seed):
     x = {v: rng.randrange(2) for v in net.variables}
     total = 0.0
     for v in tree.dfs_order:  # only the path to v is assigned
-        path = {u: x[u] for u in tree.ancestors(v)}
-        path[v] = x[v]
+        path = {}
+        u = v
+        while u is not None:  # v and its ancestors
+            path[u] = x[u]
+            u = tree.parent[u]
         total += problem.weight(v, path)
     assert close(total, am.log_probability(net, x))
 
@@ -138,7 +141,7 @@ def test_select_tip_prefers_deepest_then_preorder():
 def test_empty_problem_is_trivially_solved():
     net = am.BeliefNetwork(variables=[], domains={}, factors=[])
     tree = am.PseudoTree(parent={}, children={}, root=-1, height=0,
-                         depth={}, dfs_order=())
+                         depth={}, dfs_order=(), contexts={})
 
     class _Zero:
         def h_or(self, var, asg):
@@ -146,7 +149,7 @@ def test_empty_problem_is_trivially_solved():
 
         h_and = h_or
 
-    problem = am.SearchProblem(net, tree, {}, _Zero())
+    problem = am.SearchProblem(net, tree, _Zero())
     for res in (am.aobf(problem), am.aobb(problem)):
         assert res.status == "solved"
         assert res.mpe_log == 0.0 and res.assignment == {}

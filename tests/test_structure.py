@@ -1,21 +1,22 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import andor_mpe as am
-from andor_mpe.structure import context_cache_bound, induced_graph
+from andor_mpe.structure import context_cache_bound
 
 from helpers import TWO_VAR_UAI
 
 
-def random_graph(seed, n=None):
-    import random
+def random_graph(seed, n=None, p=0.3):
     rng = random.Random(seed)
     n = n or rng.randint(2, 14)
     g = {v: set() for v in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.3:
+            if rng.random() < p:
                 g[i].add(j)
                 g[j].add(i)
     return g
@@ -51,11 +52,9 @@ def test_min_fill_is_permutation_and_width_consistent(seed, order_seed):
     g = random_graph(seed)
     elim = am.min_fill_order(g, seed=order_seed)
     assert sorted(elim.order) == sorted(g)
-    # induced width equals the max later-neighbor count in the induced graph
-    ind = induced_graph(g, elim.order)
-    pos = elim.position
-    w = max(len([u for u in ind[v] if pos[u] > pos[v]]) for v in elim.order)
-    assert elim.induced_width == w
+    # induced width is the size of the largest context, less the variable
+    tree = am.build_pseudo_tree(g, elim)
+    assert elim.induced_width == max(len(c) for c in tree.contexts.values()) - 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -94,7 +93,8 @@ def test_validate_pseudo_tree_rejects_cross_edges():
     bad = am.PseudoTree(parent={0: None, 1: 0, 2: 0},
                         children={0: [1, 2], 1: [], 2: []},
                         root=0, height=1, depth={0: 0, 1: 1, 2: 1},
-                        dfs_order=(0, 1, 2))
+                        dfs_order=(0, 1, 2),
+                        contexts={0: (0,), 1: (0, 1), 2: (0, 2)})
     # edge 1-2 joins two siblings: invalid
     assert not am.validate_pseudo_tree(bad, g)
 
@@ -114,8 +114,7 @@ def test_context_size_bounded_by_width_plus_one(seed):
     g = random_graph(seed)
     elim = am.min_fill_order(g)
     tree = am.build_pseudo_tree(g, elim)
-    ctx = am.compute_contexts(tree, g)
-    for v, c in ctx.items():
+    for v, c in tree.contexts.items():
         assert len(c) <= elim.induced_width + 1
         assert c[-1] == v
         # ancestors appear root-to-leaf
@@ -124,20 +123,49 @@ def test_context_size_bounded_by_width_plus_one(seed):
         assert all(tree.is_ancestor(u, v) for u in c[:-1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 14),
+       p=st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.8]),
+       shuffled=st.booleans())
+def test_contexts_are_ancestors_adjacent_to_the_subtree(seed, n, p, shuffled):
+    """The AND/OR definition of a context, which does not depend on the
+    elimination: the ancestors of v adjacent in g to some vertex of v's
+    subtree, root-to-leaf, then v. Low p gives disconnected graphs and
+    isolated vertices."""
+    g = random_graph(seed, n, p)
+    if shuffled:
+        order = list(g)
+        random.Random(seed).shuffle(order)
+        # n - 1 bounds the width; build_pseudo_tree reads only the order
+        elim = am.EliminationOrder(order=tuple(order), induced_width=n - 1)
+    else:
+        elim = am.min_fill_order(g, seed=seed)
+    tree = am.build_pseudo_tree(g, elim)
+    assert am.validate_pseudo_tree(tree, g)
+    for v in g:
+        below = set(tree.subtree(v))
+        path = []
+        u = tree.parent[v]
+        while u is not None:
+            path.append(u)
+            u = tree.parent[u]
+        expected = [a for a in reversed(path) if g[a] & below] + [v]
+        assert tree.contexts[v] == tuple(expected)
+
+
 def test_context_root_is_singleton():
     net = am.parse_uai(TWO_VAR_UAI)
     g = am.primal_graph(net)
     elim = am.min_fill_order(g)
     tree = am.build_pseudo_tree(g, elim)
-    ctx = am.compute_contexts(tree, g)
-    assert ctx[tree.root] == (tree.root,)
+    assert tree.contexts[tree.root] == (tree.root,)
 
 
 def test_chain_contexts_are_parent_child_pairs():
     g = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
     elim = am.EliminationOrder(order=(0, 1, 2, 3), induced_width=1)
     tree = am.build_pseudo_tree(g, elim)
-    ctx = am.compute_contexts(tree, g)
+    ctx = tree.contexts
     assert ctx[3] == (3,)
     assert ctx[2] == (3, 2)
     assert ctx[1] == (2, 1)
@@ -158,5 +186,5 @@ def test_subtree_and_ancestors():
     assert tree.root == 3
     assert set(tree.subtree(2)) == {0, 1, 2}
     assert tree.subtree(2)[0] == 2
-    assert tree.ancestors(0) == [1, 2, 3]
+    assert [tree.parent[v] for v in (0, 1, 2, 3)] == [1, 2, 3, None]
     assert tree.is_ancestor(3, 0) and not tree.is_ancestor(0, 3)
