@@ -78,13 +78,24 @@ def build_problem(net: model.BeliefNetwork, tree: structure.PseudoTree,
     if heuristic == "smb":
         tables = compile_smb(net, tree, ibound,
                              max_table_entries=max_table_entries)
-        evaluator = SmbEvaluator(tables, tree)
+        evaluator = SmbEvaluator(tables)
     elif heuristic == "dmb":
         evaluator = DmbEvaluator(net, tree, ibound,
                                  max_table_entries=max_table_entries)
     else:
         raise ValueError(f"unknown heuristic {heuristic!r}")
     return SearchProblem(net, tree, evaluator)
+
+
+def check_limits(time_limit, memory_limit_mb) -> None:
+    """Raise ValueError unless each limit is None or a number >= 0; a time
+    limit of inf means none, a memory limit must be finite in bytes."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit {time_limit!r} is NaN or negative")
+    if (memory_limit_mb is not None
+            and not 0 <= memory_limit_mb * 2**20 < math.inf):
+        raise ValueError(f"memory limit {memory_limit_mb!r} is NaN, negative "
+                         f"or too large")
 
 
 def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
@@ -95,16 +106,18 @@ def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
     """Full solving pipeline; returns (RunRecord, full assignment or None).
 
     Wall time covers ordering, heuristic compilation and search; parsing and
-    evidence reduction are excluded.
+    evidence reduction are excluded. Raises ValueError on a bad limit
+    (`check_limits`).
     """
+    check_limits(time_limit, memory_limit_mb)
     n_orig = len(net.variables) + len(net.evidence)
     reduced = model.apply_evidence(net, evidence)
     e_count = len(reduced.evidence)
     max_nodes = None
     max_entries = None
     if memory_limit_mb is not None:
-        max_nodes = int(memory_limit_mb * 1024 * 1024 / _BYTES_PER_NODE)
-        max_entries = int(memory_limit_mb * 1024 * 1024 / 8)
+        max_nodes = int(memory_limit_mb * 2**20 // _BYTES_PER_NODE)
+        max_entries = int(memory_limit_mb * 2**20 // 8)
     t0 = time.perf_counter()
     status = "solved"
     stats_nodes = stats_hits = stats_entries = 0
@@ -275,6 +288,7 @@ def cmd_bench(args) -> int:
                             ("memory_limit_mb", memory_limit)):
             if value is not None and type(value) not in (int, float):
                 raise ValueError(f'manifest "{name}" {value!r} is not a number')
+        check_limits(time_limit, memory_limit)
         if heuristic not in ("smb", "dmb"):
             raise ValueError(f'manifest "heuristic" {heuristic!r} is not '
                              f'"smb" or "dmb"')

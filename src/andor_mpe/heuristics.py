@@ -134,29 +134,18 @@ def compile_smb(net: BeliefNetwork, tree: PseudoTree, i_bound: int,
                             table_entries=entries)
 
 
-def _h_and(self, var: int, asg) -> float:
-    """The `h_and` of both evaluators: the sum of the children's `h_or`."""
-    total = 0.0
-    for c in self._children[var]:
-        total += self.h_or(c, asg)
-    return total
-
-
 class SmbEvaluator:
     """Static heuristic: table lookups over the pre-compiled messages."""
 
-    def __init__(self, tables: MiniBucketTables, tree: PseudoTree):
+    def __init__(self, tables: MiniBucketTables):
         self.tables = tables
         self._exiting = tables.exiting
-        self._children = tree.children
 
     def h_or(self, var: int, asg) -> float:
         total = 0.0
         for fn in self._exiting[var]:
             total += fn(asg)
         return total
-
-    h_and = _h_and
 
 
 class DmbEvaluator:
@@ -171,7 +160,6 @@ class DmbEvaluator:
         self._pos = pos
         self._logfactors = [LogFactor.from_linear(f.scope, f.table)
                             for f in net.factors]
-        self._children = tree.children
         self._subtree_vars: dict[int, list[int]] = {}
         self._subtree_set: dict[int, set[int]] = {}
         self._subtree_factors: dict[int, list[int]] = {}
@@ -199,5 +187,3 @@ class DmbEvaluator:
         # every message is consumed inside the subtree; only constants remain
         assert all(r.dest is None or r.dest in ss for r in records)
         return constant
-
-    h_and = _h_and

@@ -47,10 +47,12 @@ class SearchProblem:
     exactly one arc weight along any root-to-leaf path.
 
     The search asks the model only for `weight(X, asg)` and for the
-    evaluator's `h_or(X, asg)`, an upper bound on the OR node of X, and
-    `h_and(X, asg)`, one on the subproblem below the AND node <X, asg[X]>.
-    `asg` is a list indexed by variable or a dict; it must assign every
-    pseudo-tree ancestor of X, and X itself for `weight` and `h_and`.
+    evaluator's one query, `h_or(X, asg)`, an upper bound on the OR node of
+    X. `asg` is a list indexed by variable or a dict; it must assign every
+    pseudo-tree ancestor of X, and X itself for `weight`. The bound on the
+    subproblem below the AND node <X, asg[X]> is the sum of its children's
+    `h_or` (`child_bounds`); each search asks for those once per AND node
+    and keeps them until it expands the node.
     """
 
     def __init__(self, net: BeliefNetwork, tree: PseudoTree, evaluator):
@@ -75,6 +77,17 @@ class SearchProblem:
             total += fn(asg)
         return total
 
+    def child_bounds(self, var: int, asg):
+        """The evaluator's `h_or` of each child of `var`, as a tuple, and
+        their sum taken left to right from 0.0, the bound on the AND node
+        <var, asg[var]>; asg must cover the tree path to var."""
+        h_or = self.evaluator.h_or
+        hs = tuple([h_or(c, asg) for c in self.children[var]])
+        total = 0.0
+        for h in hs:
+            total += h
+        return hs, total
+
 
 class _OrNode:
     __slots__ = ("var", "v", "children", "marked", "solved", "parent", "depth")
@@ -90,10 +103,12 @@ class _OrNode:
 
 
 class _AndNode:
+    # hs: the children's bounds from `child_bounds`, None once expanded
     __slots__ = ("var", "val", "v", "children", "solved", "parents", "w",
-                 "depth", "terminal")
+                 "depth", "terminal", "hs")
 
-    def __init__(self, var, val, depth, v, w, terminal):
+    def __init__(self, var, val, depth, v, w, hs):
+        terminal = not hs  # no children
         self.var = var
         self.val = val
         self.v = v
@@ -103,6 +118,7 @@ class _AndNode:
         self.w = w
         self.depth = depth
         self.terminal = terminal
+        self.hs = hs
 
 
 def select_tip(tips, preorder: dict[int, int]):
@@ -227,16 +243,14 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
         if isinstance(tip, _OrNode):
             X = tip.var
             ctx = problem.contexts[X]
-            kid_vars = problem.children[X]
             for x in range(problem.domains[X]):
                 asg[X] = x
                 w = problem.weight(X, asg)
                 key = tuple(asg[u] for u in ctx)
                 child = cache[X].get(key)
                 if child is None:
-                    terminal = not kid_vars
-                    v0 = 0.0 if terminal else evaluator.h_and(X, asg)
-                    child = _AndNode(X, x, tip.depth + 1, v0, w, terminal)
+                    hs, v0 = problem.child_bounds(X, asg)
+                    child = _AndNode(X, x, tip.depth + 1, v0, w, hs)
                     cache[X][key] = child
                     nodes_created += 1
                 else:
@@ -245,10 +259,10 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
                 child.parents.append(tip)
             asg[X] = -1
         else:
-            for cvar in problem.children[tip.var]:
-                orn = _OrNode(cvar, tip.depth + 1, evaluator.h_or(cvar, asg), tip)
-                tip.children.append(orn)
+            for cvar, h in zip(problem.children[tip.var], tip.hs):
+                tip.children.append(_OrNode(cvar, tip.depth + 1, h, tip))
                 nodes_created += 1
+            tip.hs = None
         revise(tip)
         for v in touched:
             asg[v] = -1
@@ -294,7 +308,6 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
     if not problem.variables:
         return SolveResult("solved", 0.0, {}, stats)
     tree = problem.tree
-    evaluator = problem.evaluator
     domains = problem.domains
     children = problem.children
     contexts = problem.contexts
@@ -323,12 +336,12 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
         for x in range(domains[X]):
             asg[X] = x
             w = problem.weight(X, asg)
-            hv = evaluator.h_and(X, asg) if kids else 0.0
-            cands.append((w + hv, x, w))
+            hs, hv = problem.child_bounds(X, asg)
+            cands.append((w + hv, x, w, hs))
         cands.sort(key=lambda t: (-t[0], t[1]))
         best = NEG_INF
         best_asg = None
-        for bound, x, w in cands:
+        for bound, x, w, hs in cands:
             thr = best if best > ub else ub
             if bound <= thr:
                 continue
@@ -343,7 +356,7 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
                     stats.cache_hits += 1
                     vsub, sub = hit
                 else:
-                    r = solve_and(X, thr - w)
+                    r = solve_and(X, thr - w, hs)
                     if r is None:
                         continue
                     vsub, sub = r
@@ -359,13 +372,12 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
         asg[X] = -1
         return best, best_asg
 
-    def solve_and(X, ub):
-        # Value of the decomposed subproblem below <X, asg[X]>;
-        # None means provably <= ub.
+    def solve_and(X, ub, hs):
+        # Value of the decomposed subproblem below <X, asg[X]>, whose
+        # children have the bounds hs; None means provably <= ub.
         stats.expansions += 1
         maybe_abort()
         kids = children[X]
-        hs = [evaluator.h_or(c, asg) for c in kids]
         rest = sum(hs)
         if rest == NEG_INF:
             return None

@@ -102,7 +102,7 @@ def test_criterion_2_heuristic_admissibility():
             for x in range(problem.domains[X]):
                 asg[X] = x
                 nodes += 1
-                if ev.h_and(X, asg) < and_value(X, asg) - 1e-9:
+                if problem.child_bounds(X, asg)[1] < and_value(X, asg) - 1e-9:
                     violations += 1
                 for c in tree.children[X]:
                     walk(c, asg)

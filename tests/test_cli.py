@@ -180,6 +180,29 @@ def test_solve_command_timeout_exit_code(two_var_files):
     assert code == EXIT_TIMEOUT
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--time-limit", "nan"], "time limit nan is NaN or negative"),
+    (["--time-limit", "-1"], "time limit -1.0 is NaN or negative"),
+    (["--memory-limit", "nan"], "memory limit nan is NaN, negative or too large"),
+    (["--memory-limit", "-1"], "memory limit -1.0 is NaN, negative or too large"),
+    (["--memory-limit", "inf"], "memory limit inf is NaN, negative or too large"),
+    (["--memory-limit", "1e306"],
+     "memory limit 1e+306 is NaN, negative or too large"),
+], ids=["time nan", "time negative", "memory nan", "memory negative",
+        "memory inf", "memory too large"])
+def test_solve_rejects_bad_limits(two_var_files, capsys, argv, message):
+    code, out = solve_stdout(["solve", "--input", str(two_var_files[0])] + argv)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_solve_infinite_time_limit_means_none(two_var_files):
+    code, out = solve_stdout(["solve", "--input", str(two_var_files[0]),
+                              "--time-limit", "inf"])
+    assert code == EXIT_SOLVED
+    assert dict(zip(CSV_COLUMNS, out.strip().split(",")))["status"] == "solved"
+
+
 def test_solve_command_print_assignment(two_var_files, capsys):
     uai, _ = two_var_files
     code = main(["solve", "--input", str(uai), "--print-assignment"])
@@ -344,6 +367,19 @@ BAD_MANIFESTS.update({
     "memory_limit_mb a string": ({"instances": OK_INSTANCES,
                                   "memory_limit_mb": "1"},
                                  "\"memory_limit_mb\" '1' is not a number"),
+    "time_limit NaN": ({"instances": OK_INSTANCES, "time_limit": math.nan},
+                       "time limit nan is NaN or negative"),
+    "time_limit negative": ({"instances": OK_INSTANCES, "time_limit": -1},
+                            "time limit -1 is NaN or negative"),
+    "memory_limit_mb NaN": ({"instances": OK_INSTANCES,
+                             "memory_limit_mb": math.nan},
+                            "memory limit nan is NaN, negative or too large"),
+    "memory_limit_mb negative": ({"instances": OK_INSTANCES,
+                                  "memory_limit_mb": -1},
+                                 "memory limit -1 is NaN, negative or too large"),
+    "memory_limit_mb Infinity": ({"instances": OK_INSTANCES,
+                                  "memory_limit_mb": math.inf},
+                                 "memory limit inf is NaN, negative or too large"),
     "heuristic a number": ({"instances": OK_INSTANCES, "heuristic": 3},
                            '"heuristic" 3 is not "smb" or "dmb"'),
     "heuristic unknown": ({"instances": OK_INSTANCES, "heuristic": "exact"},

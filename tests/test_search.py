@@ -129,6 +129,44 @@ def test_aobf_root_value_equals_exact_subproblem_oracle(seed):
     assert close(res.mpe_log, root_v)
 
 
+def _record_h_or(problem):
+    """Wrap the evaluator's `h_or` in a recorder; returns the list of keys
+    (child, values of its parent's context) it is called with."""
+    tree, ev = problem.tree, problem.evaluator
+    h_or, keys = ev.h_or, []
+
+    def recorder(var, asg):
+        parent = tree.parent[var]
+        ctx = () if parent is None else problem.contexts[parent]
+        keys.append((var, tuple(asg[u] for u in ctx)))
+        return h_or(var, asg)
+
+    ev.h_or = recorder
+    return keys
+
+
+def test_aobf_asks_each_child_bound_once_per_and_node():
+    for heuristic in ("smb", "dmb"):
+        for seed in range(40):
+            net = am.gen_random(12, 2, 9, 2, seed=seed)
+            problem = am.build_problem(net, am.decompose(net), 2,
+                                       heuristic=heuristic)
+            keys = _record_h_or(problem)
+            assert am.aobf(problem).status == "solved"
+            assert len(set(keys)) == len(keys), (heuristic, seed)
+    net = am.gen_random(12, 2, 9, 2, seed=0)
+    tree = am.decompose(net)
+    calls = {}
+    for heuristic in ("smb", "dmb"):
+        for search in (am.aobf, am.aobb):
+            problem = am.build_problem(net, tree, 2, heuristic=heuristic)
+            keys = _record_h_or(problem)
+            search(problem)
+            calls[heuristic, search.__name__] = len(keys)
+    assert calls == {("smb", "aobf"): 49, ("smb", "aobb"): 70,
+                     ("dmb", "aobf"): 33, ("dmb", "aobb"): 42}
+
+
 def test_select_tip_prefers_deepest_then_preorder():
     preorder = {0: 0, 1: 1, 2: 2}
     a = _OrNode(1, 3, 0.0, None)
@@ -146,8 +184,6 @@ def test_empty_problem_is_trivially_solved():
     class _Zero:
         def h_or(self, var, asg):
             return 0.0
-
-        h_and = h_or
 
     problem = am.SearchProblem(net, tree, _Zero())
     for res in (am.aobf(problem), am.aobb(problem)):
