@@ -301,7 +301,8 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
     """Depth-first branch-and-bound on the same AND/OR graph. At each OR node
     children are tried in decreasing (weight + h) order; a branch is pruned
     when its bound cannot strictly beat the relevant incumbent. Exactly
-    solved AND contexts are cached and reused."""
+    solved AND contexts are cached with their bound and reused, so a cached
+    context's children are not asked for their bounds again."""
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
     stats = SearchStats()
@@ -336,12 +337,17 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
         for x in range(domains[X]):
             asg[X] = x
             w = problem.weight(X, asg)
-            hs, hv = problem.child_bounds(X, asg)
-            cands.append((w + hv, x, w, hs))
+            key = tuple(asg[u] for u in contexts[X]) if kids else None
+            hit = cache[X].get(key)
+            if hit is None:
+                hs, hv = problem.child_bounds(X, asg)
+            else:
+                hs, hv = None, hit[0]  # cached entries keep their AND bound
+            cands.append((w + hv, x, w, hv, hs, key, hit))
         cands.sort(key=lambda t: (-t[0], t[1]))
         best = NEG_INF
         best_asg = None
-        for bound, x, w, hs in cands:
+        for bound, x, w, hv, hs, key, hit in cands:
             thr = best if best > ub else ub
             if bound <= thr:
                 continue
@@ -350,17 +356,15 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
                 val = w
                 sub = {}
             else:
-                key = tuple(asg[u] for u in contexts[X])
-                hit = cache[X].get(key)
                 if hit is not None:
                     stats.cache_hits += 1
-                    vsub, sub = hit
+                    _, vsub, sub = hit
                 else:
                     r = solve_and(X, thr - w, hs)
                     if r is None:
                         continue
                     vsub, sub = r
-                    cache[X][key] = (vsub, sub)
+                    cache[X][key] = (hv, vsub, sub)
                 val = w + vsub
             if val > best:
                 best = val

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 Graph = dict[int, set[int]]
@@ -63,43 +64,70 @@ def _copy_graph(g: Graph) -> Graph:
     return {v: set(nb) for v, nb in g.items()}
 
 
+def _fill(work: Graph, v: int) -> int:
+    """Number of missing edges among the neighbors of v in `work`."""
+    nbrs = work[v]
+    d = len(nbrs)
+    linked = 0
+    for u in nbrs:
+        linked += len(work[u] & nbrs)
+    return d * (d - 1) // 2 - linked // 2
+
+
+def _unbucket(buckets: dict[int, list[int]], score: int, v: int) -> None:
+    bucket = buckets[score]
+    del bucket[bisect_left(bucket, v)]
+    if not bucket:
+        del buckets[score]
+
+
 def min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     """Greedy min-fill ordering; ties broken uniformly with the given seed.
 
+    `g` is a simple undirected graph: symmetric neighbor sets, no loops.
     Returns the order (first eliminated first) and the induced width measured
     while eliminating.
+
+    Each step eliminates a vertex of least fill, the number of missing edges
+    among its remaining neighbors. The candidates are all such vertices in
+    ascending order, and `rng.choice` picks one only when there are several.
+    Fill scores are computed once, then updated locally (Kjaerulff 1990):
+    eliminating v changes the neighbor sets of N(v) only, and adds edges only
+    inside N(v), so only the scores of N(v) and of the neighbors of N(v),
+    taken after the fill edges are added, can change. Those are recomputed
+    after each step. Vertices sit in buckets keyed by score, each bucket a
+    sorted list, so the candidate list is the same sorted list a full rescan
+    of every vertex would give, and so is every seeded order.
     """
     if not g:
         raise ValueError("empty graph")
     rng = random.Random(seed)
     work = _copy_graph(g)
+    score = {v: _fill(work, v) for v in work}
+    buckets: dict[int, list[int]] = {}
+    for v in sorted(work):
+        buckets.setdefault(score[v], []).append(v)
     order = []
     width = 0
     while work:
-        best_cost = None
-        candidates = []
-        for v in sorted(work):
-            nbrs = sorted(work[v])
-            cost = 0
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    if nbrs[j] not in work[nbrs[i]]:
-                        cost += 1
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                candidates = [v]
-            elif cost == best_cost:
-                candidates.append(v)
+        candidates = buckets[min(buckets)]
         v = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
-        nbrs = list(work[v])
+        _unbucket(buckets, score.pop(v), v)
+        nbrs = work.pop(v)
         width = max(width, len(nbrs))
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                work[nbrs[i]].add(nbrs[j])
-                work[nbrs[j]].add(nbrs[i])
+        stale = set(nbrs)
         for u in nbrs:
-            work[u].discard(v)
-        del work[v]
+            nu = work[u]
+            nu.discard(v)
+            nu.update(nbrs)
+            nu.discard(u)
+            stale.update(nu)
+        for u in stale:
+            new = _fill(work, u)
+            if new != score[u]:
+                _unbucket(buckets, score[u], u)
+                insort(buckets.setdefault(new, []), u)
+                score[u] = new
         order.append(v)
     return EliminationOrder(order=tuple(order), induced_width=width)
 

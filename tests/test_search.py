@@ -163,7 +163,7 @@ def test_aobf_asks_each_child_bound_once_per_and_node():
             keys = _record_h_or(problem)
             search(problem)
             calls[heuristic, search.__name__] = len(keys)
-    assert calls == {("smb", "aobf"): 49, ("smb", "aobb"): 70,
+    assert calls == {("smb", "aobf"): 49, ("smb", "aobb"): 69,
                      ("dmb", "aobf"): 33, ("dmb", "aobb"): 42}
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import andor_mpe as am
 from andor_mpe.structure import context_cache_bound
 
-from helpers import TWO_VAR_UAI
+from helpers import TWO_VAR_UAI, reference_min_fill_order
 
 
 def random_graph(seed, n=None, p=0.3):
@@ -19,6 +20,17 @@ def random_graph(seed, n=None, p=0.3):
             if rng.random() < p:
                 g[i].add(j)
                 g[j].add(i)
+    return g
+
+
+def chain_graph(n, seed):
+    """Path graph over a random labelling of 0..n-1."""
+    labels = list(range(n))
+    random.Random(seed).shuffle(labels)
+    g = {v: set() for v in labels}
+    for a, b in zip(labels, labels[1:]):
+        g[a].add(b)
+        g[b].add(a)
     return g
 
 
@@ -44,6 +56,65 @@ def test_min_fill_deterministic_given_seed():
 def test_min_fill_empty_graph_raises():
     with pytest.raises(ValueError):
         am.min_fill_order({})
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 14),
+       p=st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]),
+       order_seed=st.integers(0, 5))
+def test_min_fill_matches_reference_on_random_graphs(seed, n, p, order_seed):
+    g = random_graph(seed, n, p)
+    assert am.min_fill_order(g, order_seed) == reference_min_fill_order(g, order_seed)
+
+
+def _structured_graphs():
+    for seed in range(4):
+        yield chain_graph(40 + 60 * seed, seed), f"chain{seed}"
+        yield am.primal_graph(am.gen_random(30, 2, 27, 2, seed=seed)), f"random{seed}"
+        yield am.primal_graph(am.gen_grid(6, 0.5, 0, seed=seed)[0]), f"grid{seed}"
+        yield am.primal_graph(am.gen_coding(12, 4, 0.3, seed=seed)[0]), f"coding{seed}"
+    n = 30
+    yield {0: set(range(1, n)), **{v: {0} for v in range(1, n)}}, "star"
+    yield {v: set(range(n)) - {v} for v in range(n)}, "clique"
+    # two triangles, a path and isolated vertices, labels interleaved
+    g = {v: set() for v in range(20)}
+    for a, b in ((0, 7), (7, 13), (0, 13), (2, 9), (9, 16), (2, 16),
+                 (4, 11), (11, 18)):
+        g[a].add(b)
+        g[b].add(a)
+    yield g, "disconnected"
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name)
+                               for g, name in _structured_graphs()])
+def test_min_fill_matches_reference_on_structured_graphs(g):
+    for seed in (0, 1, 101):
+        assert am.min_fill_order(g, seed) == reference_min_fill_order(g, seed), seed
+
+
+def test_decompose_matches_reference_order(monkeypatch):
+    nets = [am.gen_random(30, 2, 27, 2, seed=3), am.gen_grid(6, 0.5, 0, seed=1)[0],
+            am.gen_coding(12, 4, 0.3, seed=2)[0]]
+    for net in nets:
+        for seed in (0, 101):
+            tree = am.decompose(net, seed)
+            with monkeypatch.context() as m:
+                m.setattr(am.structure, "min_fill_order", reference_min_fill_order)
+                ref = am.decompose(net, seed)
+            assert tree.elim == ref.elim
+            assert tree.parent == ref.parent
+            assert tree.contexts == ref.contexts
+
+
+def test_min_fill_orders_a_deep_chain_quickly():
+    # A full rescan of every vertex per step would take minutes here.
+    n = 20_000
+    g = chain_graph(n, 7)
+    t0 = time.perf_counter()
+    elim = am.min_fill_order(g, seed=7)
+    assert time.perf_counter() - t0 < 10.0
+    assert elim.induced_width == 1
+    assert sorted(elim.order) == list(range(n))
 
 
 @settings(max_examples=50, deadline=None)
