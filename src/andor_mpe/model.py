@@ -125,9 +125,13 @@ def parse_uai(text: str) -> BeliefNetwork:
             raise UAIParseError(f"cardinality {d} of variable {v} must be >= 1", line)
         domains[v] = d
     m = next_int("factor count")
+    if m < 0:
+        raise UAIParseError("negative factor count", line)
     scopes = []
     for k in range(m):
         size = next_int(f"scope size of factor {k}")
+        if size < 0:
+            raise UAIParseError(f"negative scope size of factor {k}", line)
         scope = tuple(next_int(f"scope variable of factor {k}") for _ in range(size))
         for v in scope:
             if v not in domains:
@@ -151,6 +155,10 @@ def parse_uai(text: str) -> BeliefNetwork:
         if not f.is_normalized(domains):
             unnormalized.append(k)
         factors.append(f)
+    extra = next(it, None)
+    if extra is not None:
+        raise UAIParseError(f"unexpected token {extra[0]!r} after the last table",
+                            extra[1])
     net = BeliefNetwork(variables=list(range(n)), domains=domains, factors=factors)
     net.validate()
     if unnormalized:
@@ -179,7 +187,8 @@ def serialize_uai(net: BeliefNetwork) -> str:
 
 
 def parse_evidence(text: str) -> dict[int, int]:
-    """Evidence file: count, then that many 'var value' pairs."""
+    """Evidence file: count, then that many 'var value' pairs, each naming a
+    different variable."""
     toks = text.split()
     if not toks:
         return {}
@@ -187,7 +196,12 @@ def parse_evidence(text: str) -> dict[int, int]:
     if len(toks) != 1 + 2 * count:
         raise ValueError(f"evidence file declares {count} pairs, found {(len(toks) - 1) // 2}")
     pairs = [int(t) for t in toks[1:]]
-    return {pairs[2 * i]: pairs[2 * i + 1] for i in range(count)}
+    evidence = {}
+    for v, x in zip(pairs[::2], pairs[1::2]):
+        if v in evidence:
+            raise ValueError(f"evidence names variable {v} twice")
+        evidence[v] = x
+    return evidence
 
 
 def apply_evidence(net: BeliefNetwork, evidence: dict[int, int]) -> BeliefNetwork:

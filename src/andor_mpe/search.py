@@ -3,7 +3,6 @@ and depth-first branch-and-bound (AOBB) with full context caching."""
 
 from __future__ import annotations
 
-import heapq
 import sys
 import time
 from dataclasses import dataclass
@@ -105,19 +104,17 @@ class _OrNode:
 class _AndNode:
     # hs: the children's bounds from `child_bounds`, None once expanded
     __slots__ = ("var", "val", "v", "children", "solved", "parents", "w",
-                 "depth", "terminal", "hs")
+                 "depth", "hs")
 
     def __init__(self, var, val, depth, v, w, hs):
-        terminal = not hs  # no children
         self.var = var
         self.val = val
         self.v = v
         self.children = []
-        self.solved = terminal
+        self.solved = not hs  # no children
         self.parents = []
         self.w = w
         self.depth = depth
-        self.terminal = terminal
         self.hs = hs
 
 
@@ -137,10 +134,10 @@ def _assert_cache_bound(cache, contexts, domains):
 
 def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
          on_revise=None) -> SolveResult:
-    """Best-first AND/OR graph search: repeatedly trace the marked partial
-    solution tree, expand a nonterminal tip, and revise values bottom-up
-    until the root is solved. `on_revise(node, old_v, new_v)` is an optional
-    instrumentation hook."""
+    """Best-first AND/OR graph search (AO*): repeatedly trace the marked
+    partial solution tree, expand the tip `select_tip` picks, and revise
+    values from it upwards, one depth level at a time, until the root is
+    solved. `on_revise(node, old_v, new_v)` is an optional hook."""
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
     stats = SearchStats()
@@ -153,59 +150,51 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
     root = _OrNode(tree.root, 0, evaluator.h_or(tree.root, asg), None)
     nodes_created = 1
 
-    def revise(start):
-        heap = []
-        inset = set()
-        seq = 0
-
-        def push(nd):
-            nonlocal seq
-            if id(nd) not in inset:
-                inset.add(id(nd))
-                heapq.heappush(heap, (-nd.depth, seq, nd))
-                seq += 1
-
-        push(start)
-        while heap:
-            _, _, m = heapq.heappop(heap)
-            inset.discard(id(m))
-            if isinstance(m, _AndNode):
-                if m.terminal:
-                    continue
-                newv = 0.0
-                newsolved = True
-                for c in m.children:
-                    newv += c.v
-                    if not c.solved:
-                        newsolved = False
-                changed = (newv != m.v) or (newsolved and not m.solved)
-                if on_revise is not None:
-                    on_revise(m, m.v, newv)
-                m.v = newv
-                if newsolved:
-                    m.solved = True
-                if changed:
-                    for p in m.parents:
-                        if p.marked is m:
-                            push(p)
-            else:
-                best = None
-                bestv = NEG_INF
-                for c in m.children:
-                    val = c.w + c.v
-                    if best is None or val > bestv:
-                        best = c
-                        bestv = val
-                newsolved = best.solved
-                changed = (bestv != m.v) or (newsolved and not m.solved)
-                if on_revise is not None:
-                    on_revise(m, m.v, bestv)
-                m.v = bestv
-                m.marked = best
-                if newsolved:
-                    m.solved = True
-                if changed and m.parent is not None:
-                    push(m.parent)
+    def revise(tip):
+        # Whatever path reaches them, the OR nodes of X sit at depth 2·d(X)
+        # and its AND nodes at 2·d(X) + 1 (d: pseudo-tree depth), so every
+        # parent is one level up and a level is complete before the sweep
+        # reaches it. `up` keeps first-queued order and drops repeats.
+        level = [tip]
+        while level:
+            up = {}
+            for m in level:
+                if isinstance(m, _AndNode):
+                    newv = 0.0
+                    newsolved = True
+                    for c in m.children:
+                        newv += c.v
+                        if not c.solved:
+                            newsolved = False
+                    changed = (newv != m.v) or (newsolved and not m.solved)
+                    if on_revise is not None:
+                        on_revise(m, m.v, newv)
+                    m.v = newv
+                    if newsolved:
+                        m.solved = True
+                    if changed:
+                        for p in m.parents:
+                            if p.marked is m:
+                                up[p] = None
+                else:
+                    best = None
+                    bestv = NEG_INF
+                    for c in m.children:
+                        val = c.w + c.v
+                        if best is None or val > bestv:
+                            best = c
+                            bestv = val
+                    newsolved = best.solved
+                    changed = (bestv != m.v) or (newsolved and not m.solved)
+                    if on_revise is not None:
+                        on_revise(m, m.v, bestv)
+                    m.v = bestv
+                    m.marked = best
+                    if newsolved:
+                        m.solved = True
+                    if changed and m.parent is not None:
+                        up[m.parent] = None
+            level = up
 
     status = "solved"
     while not root.solved:
@@ -216,9 +205,9 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
         if limits.max_nodes is not None and nodes_created > limits.max_nodes:
             status = "memout"
             break
-        # Trace the best partial solution tree along marked arcs.
+        # Trace the unsolved part of the marked partial solution tree. This
+        # sets asg on the tip's path, all that weight and h_or read.
         tips = []
-        touched = []
         stack = [root]
         while stack:
             nd = stack.pop()
@@ -229,9 +218,6 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
                     stack.append(nd.marked)
             else:
                 asg[nd.var] = nd.val
-                touched.append(nd.var)
-                if nd.terminal or nd.solved:
-                    continue
                 if not nd.children:
                     tips.append(nd)
                 else:
@@ -257,15 +243,12 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
                     stats.cache_hits += 1
                 tip.children.append(child)
                 child.parents.append(tip)
-            asg[X] = -1
         else:
             for cvar, h in zip(problem.children[tip.var], tip.hs):
                 tip.children.append(_OrNode(cvar, tip.depth + 1, h, tip))
                 nodes_created += 1
             tip.hs = None
         revise(tip)
-        for v in touched:
-            asg[v] = -1
 
     stats.cache_entries = sum(len(d) for d in cache.values())
     _assert_cache_bound(cache, problem.contexts, problem.domains)

@@ -74,6 +74,17 @@ def _fill(work: Graph, v: int) -> int:
     return d * (d - 1) // 2 - linked // 2
 
 
+def _eliminate(work: Graph, v: int) -> set[int]:
+    """Remove v from `work`, join its neighbors into a clique, return them."""
+    nbrs = work.pop(v)
+    for u in nbrs:
+        nu = work[u]
+        nu.discard(v)
+        nu.update(nbrs)
+        nu.discard(u)
+    return nbrs
+
+
 def _unbucket(buckets: dict[int, list[int]], score: int, v: int) -> None:
     bucket = buckets[score]
     del bucket[bisect_left(bucket, v)]
@@ -113,15 +124,9 @@ def min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
         candidates = buckets[min(buckets)]
         v = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
         _unbucket(buckets, score.pop(v), v)
-        nbrs = work.pop(v)
+        nbrs = _eliminate(work, v)
         width = max(width, len(nbrs))
-        stale = set(nbrs)
-        for u in nbrs:
-            nu = work[u]
-            nu.discard(v)
-            nu.update(nbrs)
-            nu.discard(u)
-            stale.update(nu)
+        stale = nbrs.union(*(work[u] for u in nbrs))
         for u in stale:
             new = _fill(work, u)
             if new != score[u]:
@@ -153,11 +158,7 @@ def build_pseudo_tree(g: Graph, elim: EliminationOrder) -> PseudoTree:
     work = _copy_graph(g)
     later: dict[int, set[int]] = {}
     for v in order:
-        later[v] = nbrs = work.pop(v)
-        for u in nbrs:
-            work[u].discard(v)
-            work[u].update(nbrs)
-            work[u].discard(u)
+        later[v] = _eliminate(work, v)
     root = order[-1]
     parent: dict[int, int | None] = {root: None}
     for v in order[:-1]:

@@ -167,6 +167,15 @@ def test_solve_command_with_evidence(two_var_files):
     assert close(float(rec["mpe_prob"]), 0.54, tol=1e-10)
 
 
+def test_solve_rejects_evidence_naming_a_variable_twice(two_var_files, capsys):
+    uai, evid = two_var_files
+    evid.write_text("2 1 1 1 0\n")
+    code, out = solve_stdout(["solve", "--input", str(uai),
+                              "--evidence", str(evid)])
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert "error: evidence names variable 1 twice" in capsys.readouterr().err
+
+
 def test_solve_command_missing_file_exit_code(tmp_path, capsys):
     code = main(["solve", "--input", str(tmp_path / "nope.uai")])
     assert code == EXIT_INPUT_ERROR

@@ -38,6 +38,16 @@ def test_parse_errors_name_line_numbers():
     assert (copy.line, str(copy)) == (3, str(info.value))
     with pytest.raises(UAIParseError, match=r"line 5: factor 0 scope \(0, 0\) repeats"):
         am.parse_uai("BAYES\n1\n2\n1\n2 0 0\n\n4\n0.5 0.5 0.5 0.5\n")
+    with pytest.raises(UAIParseError, match="line 1: negative factor count"):
+        am.parse_uai("BAYES 1 2 -1")
+    with pytest.raises(UAIParseError, match="line 5: negative scope size of factor 0"):
+        am.parse_uai("BAYES\n1\n2\n1\n-1\n\n1\n0.5\n")
+    # one more table than the declared factor count
+    with pytest.raises(UAIParseError,
+                       match="line 10: unexpected token '2' after the last table"):
+        am.parse_uai("BAYES\n1\n2\n1\n1 0\n\n2\n0.4 0.6\n\n2\n0.5 0.5\n")
+    with pytest.raises(UAIParseError, match="line 5: unexpected token 'x'"):
+        am.parse_uai("BAYES\n1\n2\n0\nx\n")
 
 
 def test_validate_rejects_nan_and_repeated_scope_variables():
@@ -213,3 +223,5 @@ def test_parse_evidence_pairs():
     assert am.parse_evidence("0") == {}
     with pytest.raises(ValueError):
         am.parse_evidence("2 3 1")
+    with pytest.raises(ValueError, match="evidence names variable 1 twice"):
+        am.parse_evidence("2 1 1 1 0")

@@ -167,6 +167,15 @@ def test_aobf_asks_each_child_bound_once_per_and_node():
                      ("dmb", "aobf"): 33, ("dmb", "aobb"): 42}
 
 
+def test_expansion_counts_on_the_seed_501_net():
+    # The ROADMAP Baseline instance: w* = 16, height 24.
+    net = am.gen_random(100, 2, 90, 2, seed=501)
+    problem = am.build_problem(net, am.decompose(net, seed=0), 6)
+    bf, bb = am.aobf(problem), am.aobb(problem)
+    assert (bf.stats.expansions, bb.stats.expansions) == (19_229, 25_211)
+    assert bf.mpe_log == bb.mpe_log == -31.225179086448684
+
+
 def test_select_tip_prefers_deepest_then_preorder():
     preorder = {0: 0, 1: 1, 2: 2}
     a = _OrNode(1, 3, 0.0, None)
