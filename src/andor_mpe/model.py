@@ -192,10 +192,22 @@ def parse_evidence(text: str) -> dict[int, int]:
     toks = text.split()
     if not toks:
         return {}
-    count = int(toks[0])
+
+    def integer(k: int) -> int:
+        try:
+            return int(toks[k])
+        except ValueError:
+            if k == 0:
+                what = "the pair count"
+            else:
+                what = f"the {'variable' if k % 2 else 'value'} of pair {(k + 1) // 2}"
+            raise ValueError(f"evidence token {k + 1} is {toks[k]!r}, expected "
+                             f"an integer: {what}") from None
+
+    count = integer(0)
     if len(toks) != 1 + 2 * count:
         raise ValueError(f"evidence file declares {count} pairs, found {(len(toks) - 1) // 2}")
-    pairs = [int(t) for t in toks[1:]]
+    pairs = [integer(k) for k in range(1, len(toks))]
     evidence = {}
     for v, x in zip(pairs[::2], pairs[1::2]):
         if v in evidence:

@@ -3,6 +3,7 @@ and depth-first branch-and-bound (AOBB) with full context caching."""
 
 from __future__ import annotations
 
+import heapq
 import sys
 import time
 from dataclasses import dataclass
@@ -88,8 +89,11 @@ class SearchProblem:
         return hs, total
 
 
+# in_tree: the node is in AOBF's unsolved marked partial solution tree. A
+# node that becomes solved keeps the flag; nothing reads it then.
 class _OrNode:
-    __slots__ = ("var", "v", "children", "marked", "solved", "parent", "depth")
+    __slots__ = ("var", "v", "children", "marked", "solved", "parent", "depth",
+                 "in_tree")
 
     def __init__(self, var, depth, v, parent):
         self.var = var
@@ -99,12 +103,13 @@ class _OrNode:
         self.solved = False
         self.parent = parent
         self.depth = depth
+        self.in_tree = False
 
 
 class _AndNode:
     # hs: the children's bounds from `child_bounds`, None once expanded
     __slots__ = ("var", "val", "v", "children", "solved", "parents", "w",
-                 "depth", "hs")
+                 "depth", "hs", "in_tree")
 
     def __init__(self, var, val, depth, v, w, hs):
         self.var = var
@@ -116,11 +121,16 @@ class _AndNode:
         self.w = w
         self.depth = depth
         self.hs = hs
+        self.in_tree = False
 
 
-def select_tip(tips, preorder: dict[int, int]):
-    """Deterministic tip policy: deepest node, ties by pseudo-tree preorder."""
-    return max(tips, key=lambda nd: (nd.depth, -preorder[nd.var]))
+def _tip_key(nd, preorder: dict[int, int]) -> int:
+    """Deterministic tip policy as one min-heap key: deepest node first, ties
+    by pseudo-tree preorder (every preorder index is below len(preorder)).
+    The key depends only on the variable and the node kind, and a partial
+    solution tree holds at most one OR and one AND node per variable, so no
+    two of its tips share a key."""
+    return preorder[nd.var] - nd.depth * len(preorder)
 
 
 def _assert_cache_bound(cache, contexts, domains):
@@ -134,10 +144,16 @@ def _assert_cache_bound(cache, contexts, domains):
 
 def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
          on_revise=None) -> SolveResult:
-    """Best-first AND/OR graph search (AO*): repeatedly trace the marked
-    partial solution tree, expand the tip `select_tip` picks, and revise
-    values from it upwards, one depth level at a time, until the root is
-    solved. `on_revise(node, old_v, new_v)` is an optional hook."""
+    """Best-first AND/OR graph search (AO*): repeatedly expand the tip of the
+    unsolved marked partial solution tree that `_tip_key` puts first, and
+    revise values from it upwards, one depth level at a time, until the root
+    is solved. `on_revise(node, old_v, new_v)` is an optional hook.
+
+    The tips are kept between expansions in a heap of their keys. When
+    `revise` switches the mark of an OR node in the tree, the old marked
+    subtree leaves the tree at once and the new one is traced in after the
+    sweep; no other part of the tree is traced again. A key whose last tip
+    left the tree stays in the heap and is skipped when popped."""
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
     stats = SearchStats()
@@ -145,16 +161,59 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
         return SolveResult("solved", 0.0, {}, stats)
     tree = problem.tree
     evaluator = problem.evaluator
+    preorder = problem.preorder
+    # asg[X] is the value of X's AND node in the tree, for each X that has
+    # one. A tip's ancestors all have one, and weight and h_or read only
+    # those; the other entries may be stale.
     asg = [-1] * problem.size
     cache: dict[int, dict] = {v: {} for v in problem.variables}
     root = _OrNode(tree.root, 0, evaluator.h_or(tree.root, asg), None)
     nodes_created = 1
+    tips = []  # heap of tip keys, each at most once
+    tip_at = {}  # key in tips -> the last tip attached with it
+
+    def attach(stack):
+        # Trace the nodes on `stack` and their unsolved marked subtrees into
+        # the tree: set asg for each AND node entered and push each tip.
+        while stack:
+            nd = stack.pop()
+            if nd.solved or nd.in_tree:
+                continue
+            nd.in_tree = True
+            if isinstance(nd, _AndNode):
+                asg[nd.var] = nd.val
+                stack.extend(nd.children)
+            elif nd.children:
+                stack.append(nd.marked)
+            if not nd.children:
+                key = _tip_key(nd, preorder)
+                if key not in tip_at:
+                    heapq.heappush(tips, key)
+                tip_at[key] = nd
+
+    def detach(nd):
+        # Take nd and its marked subtree out of the tree, down to solved
+        # nodes and nodes already out of it.
+        stack = [nd]
+        while stack:
+            nd = stack.pop()
+            if nd.solved or not nd.in_tree:
+                continue
+            nd.in_tree = False
+            if isinstance(nd, _AndNode):
+                stack.extend(nd.children)
+            elif nd.marked is not None:
+                stack.append(nd.marked)
 
     def revise(tip):
         # Whatever path reaches them, the OR nodes of X sit at depth 2·d(X)
         # and its AND nodes at 2·d(X) + 1 (d: pseudo-tree depth), so every
         # parent is one level up and a level is complete before the sweep
         # reaches it. `up` keeps first-queued order and drops repeats.
+        # Returns the OR nodes of the tree whose mark switched. AND nodes are
+        # shared, so OR parents outside the tree are revised too; their
+        # marks move no node in or out of the tree.
+        switched = []
         level = [tip]
         while level:
             up = {}
@@ -188,6 +247,10 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
                     changed = (bestv != m.v) or (newsolved and not m.solved)
                     if on_revise is not None:
                         on_revise(m, m.v, bestv)
+                    if best is not m.marked and m.in_tree:
+                        if m.marked is not None:
+                            detach(m.marked)
+                        switched.append(m)
                     m.v = bestv
                     m.marked = best
                     if newsolved:
@@ -195,8 +258,10 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
                     if changed and m.parent is not None:
                         up[m.parent] = None
             level = up
+        return switched
 
     status = "solved"
+    attach([root])
     while not root.solved:
         if (limits.time_limit_s is not None
                 and time.perf_counter() - t0 >= limits.time_limit_s):
@@ -205,26 +270,9 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
         if limits.max_nodes is not None and nodes_created > limits.max_nodes:
             status = "memout"
             break
-        # Trace the unsolved part of the marked partial solution tree. This
-        # sets asg on the tip's path, all that weight and h_or read.
-        tips = []
-        stack = [root]
-        while stack:
-            nd = stack.pop()
-            if isinstance(nd, _OrNode):
-                if not nd.children:
-                    tips.append(nd)
-                elif not nd.marked.solved:
-                    stack.append(nd.marked)
-            else:
-                asg[nd.var] = nd.val
-                if not nd.children:
-                    tips.append(nd)
-                else:
-                    for c in nd.children:
-                        if not c.solved:
-                            stack.append(c)
-        tip = select_tip(tips, problem.preorder)
+        tip = tip_at.pop(heapq.heappop(tips))
+        while not tip.in_tree:  # it left the tree after it was attached
+            tip = tip_at.pop(heapq.heappop(tips))
         stats.expansions += 1
         if isinstance(tip, _OrNode):
             X = tip.var
@@ -248,7 +296,12 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
                 tip.children.append(_OrNode(cvar, tip.depth + 1, h, tip))
                 nodes_created += 1
             tip.hs = None
-        revise(tip)
+        stack = [m.marked for m in revise(tip) if m.in_tree]
+        if isinstance(tip, _AndNode):
+            # Its value is already the sum of the new bounds, so revise
+            # moved no mark and it is still in the tree.
+            stack.extend(tip.children)
+        attach(stack)
 
     stats.cache_entries = sum(len(d) for d in cache.values())
     _assert_cache_bound(cache, problem.contexts, problem.domains)

@@ -5,7 +5,14 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
+import numpy as np
+
+from andor_mpe.model import BeliefNetwork, Factor
+from andor_mpe.search import (NEG_INF, SearchLimits, SearchProblem, SearchStats,
+                              SolveResult, _AndNode, _assert_cache_bound,
+                              _OrNode)
 from andor_mpe.structure import EliminationOrder, Graph, _copy_graph
 
 TWO_VAR_UAI = """BAYES
@@ -28,6 +35,18 @@ def close(a, b, tol=1e-9):
     if a == -math.inf or b == -math.inf:
         return a == b
     return abs(a - b) <= tol
+
+
+def random_chain(n: int, seed: int = 0) -> BeliefNetwork:
+    """A binary Markov chain 0 -> 1 -> ... -> n-1 with random CPT rows:
+    induced width 1, and min-fill gives a pseudo-tree of height about n/2."""
+    rng = np.random.default_rng(seed)
+    factors = [Factor(scope=(0,), table=rng.dirichlet([1.0, 1.0]), child=0)]
+    for v in range(1, n):
+        factors.append(Factor(scope=(v - 1, v), child=v,
+                              table=rng.dirichlet([1.0, 1.0], size=2)))
+    return BeliefNetwork(variables=list(range(n)),
+                         domains={v: 2 for v in range(n)}, factors=factors)
 
 
 def reference_min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
@@ -119,3 +138,155 @@ def exact_subproblem_values(problem):
         return best
 
     return root_v, or_value, and_value
+
+
+def select_tip(tips, preorder: dict[int, int]):
+    """Deterministic tip policy: deepest node, ties by pseudo-tree preorder."""
+    return max(tips, key=lambda nd: (nd.depth, -preorder[nd.var]))
+
+
+def reference_aobf(problem: SearchProblem, limits: SearchLimits | None = None,
+                   on_revise=None) -> SolveResult:
+    """Best-first AND/OR graph search (AO*): repeatedly trace the marked
+    partial solution tree, expand the tip `select_tip` picks, and revise
+    values from it upwards, one depth level at a time, until the root is
+    solved. `on_revise(node, old_v, new_v)` is an optional hook.
+
+    A test-only reference for `aobf`: it traces the whole unsolved marked
+    tree on every iteration and picks a tip with `select_tip`, where `aobf`
+    keeps its tips between iterations."""
+    limits = limits or SearchLimits()
+    t0 = time.perf_counter()
+    stats = SearchStats()
+    if not problem.variables:
+        return SolveResult("solved", 0.0, {}, stats)
+    tree = problem.tree
+    evaluator = problem.evaluator
+    asg = [-1] * problem.size
+    cache: dict[int, dict] = {v: {} for v in problem.variables}
+    root = _OrNode(tree.root, 0, evaluator.h_or(tree.root, asg), None)
+    nodes_created = 1
+
+    def revise(tip):
+        # Whatever path reaches them, the OR nodes of X sit at depth 2·d(X)
+        # and its AND nodes at 2·d(X) + 1 (d: pseudo-tree depth), so every
+        # parent is one level up and a level is complete before the sweep
+        # reaches it. `up` keeps first-queued order and drops repeats.
+        level = [tip]
+        while level:
+            up = {}
+            for m in level:
+                if isinstance(m, _AndNode):
+                    newv = 0.0
+                    newsolved = True
+                    for c in m.children:
+                        newv += c.v
+                        if not c.solved:
+                            newsolved = False
+                    changed = (newv != m.v) or (newsolved and not m.solved)
+                    if on_revise is not None:
+                        on_revise(m, m.v, newv)
+                    m.v = newv
+                    if newsolved:
+                        m.solved = True
+                    if changed:
+                        for p in m.parents:
+                            if p.marked is m:
+                                up[p] = None
+                else:
+                    best = None
+                    bestv = NEG_INF
+                    for c in m.children:
+                        val = c.w + c.v
+                        if best is None or val > bestv:
+                            best = c
+                            bestv = val
+                    newsolved = best.solved
+                    changed = (bestv != m.v) or (newsolved and not m.solved)
+                    if on_revise is not None:
+                        on_revise(m, m.v, bestv)
+                    m.v = bestv
+                    m.marked = best
+                    if newsolved:
+                        m.solved = True
+                    if changed and m.parent is not None:
+                        up[m.parent] = None
+            level = up
+
+    status = "solved"
+    while not root.solved:
+        if (limits.time_limit_s is not None
+                and time.perf_counter() - t0 >= limits.time_limit_s):
+            status = "timeout"
+            break
+        if limits.max_nodes is not None and nodes_created > limits.max_nodes:
+            status = "memout"
+            break
+        # Trace the unsolved part of the marked partial solution tree. This
+        # sets asg on the tip's path, all that weight and h_or read.
+        tips = []
+        stack = [root]
+        while stack:
+            nd = stack.pop()
+            if isinstance(nd, _OrNode):
+                if not nd.children:
+                    tips.append(nd)
+                elif not nd.marked.solved:
+                    stack.append(nd.marked)
+            else:
+                asg[nd.var] = nd.val
+                if not nd.children:
+                    tips.append(nd)
+                else:
+                    for c in nd.children:
+                        if not c.solved:
+                            stack.append(c)
+        tip = select_tip(tips, problem.preorder)
+        stats.expansions += 1
+        if isinstance(tip, _OrNode):
+            X = tip.var
+            ctx = problem.contexts[X]
+            for x in range(problem.domains[X]):
+                asg[X] = x
+                w = problem.weight(X, asg)
+                key = tuple(asg[u] for u in ctx)
+                child = cache[X].get(key)
+                if child is None:
+                    hs, v0 = problem.child_bounds(X, asg)
+                    child = _AndNode(X, x, tip.depth + 1, v0, w, hs)
+                    cache[X][key] = child
+                    nodes_created += 1
+                else:
+                    stats.cache_hits += 1
+                tip.children.append(child)
+                child.parents.append(tip)
+        else:
+            for cvar, h in zip(problem.children[tip.var], tip.hs):
+                tip.children.append(_OrNode(cvar, tip.depth + 1, h, tip))
+                nodes_created += 1
+            tip.hs = None
+        revise(tip)
+
+    stats.cache_entries = sum(len(d) for d in cache.values())
+    _assert_cache_bound(cache, problem.contexts, problem.domains)
+    if status != "solved":
+        return SolveResult(status, root.v, None, stats)
+    # Read the solution off the marked arcs.
+    assignment: dict[int, int] = {}
+    weight_sum = 0.0
+    stack = [root]
+    while stack:
+        nd = stack.pop()
+        if isinstance(nd, _OrNode):
+            m = nd.marked
+            weight_sum += m.w
+            assignment[m.var] = m.val
+            stack.append(m)
+        else:
+            stack.extend(nd.children)
+    assert len(assignment) == len(problem.variables)
+    if not (root.v == NEG_INF and weight_sum == NEG_INF):
+        assert abs(weight_sum - root.v) <= 1e-9 * max(1.0, abs(root.v)), \
+            "marked arc weights disagree with the root value"
+    return SolveResult("solved", root.v, assignment, stats,
+                       marked_weight_sum=weight_sum)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -225,3 +226,10 @@ def test_parse_evidence_pairs():
         am.parse_evidence("2 3 1")
     with pytest.raises(ValueError, match="evidence names variable 1 twice"):
         am.parse_evidence("2 1 1 1 0")
+    for text, message in [
+            ("1 x 0", "token 2 is 'x', expected an integer: the variable of pair 1"),
+            ("1.0 0 1", "token 1 is '1.0', expected an integer: the pair count"),
+            ("x", "token 1 is 'x', expected an integer: the pair count"),
+            ("2 0 1 1 y", "token 5 is 'y', expected an integer: the value of pair 2")]:
+        with pytest.raises(ValueError, match=f"^evidence {re.escape(message)}$"):
+            am.parse_evidence(text)

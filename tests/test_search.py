@@ -1,5 +1,7 @@
 import math
+import random
 import sys
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 import numpy as np
 
 import andor_mpe as am
-from andor_mpe.search import _OrNode, select_tip
+from andor_mpe.search import _AndNode, _OrNode, _tip_key
 
-from helpers import TWO_VAR_UAI, close, exact_subproblem_values
+from helpers import (TWO_VAR_UAI, close, exact_subproblem_values,
+                     random_chain, reference_aobf)
 
 
 def test_aobf_hand_checked_two_vars():
@@ -177,12 +180,67 @@ def test_expansion_counts_on_the_seed_501_net():
 
 
 def test_select_tip_prefers_deepest_then_preorder():
+    # AOBF expands the tip with the smallest `_tip_key`.
     preorder = {0: 0, 1: 1, 2: 2}
     a = _OrNode(1, 3, 0.0, None)
     b = _OrNode(2, 3, 0.0, None)
     c = _OrNode(0, 2, 0.0, None)
-    assert select_tip([c, b, a], preorder) is a  # deepest, smaller preorder
-    assert select_tip([c, b], preorder) is b
+
+    def first(tips):
+        return min(tips, key=lambda nd: _tip_key(nd, preorder))
+
+    assert first([c, b, a]) is a  # deepest, smaller preorder
+    assert first([c, b]) is b  # deeper beats a smaller preorder
+    assert first([b, a]) is a  # same depth: smaller preorder
+
+
+def _aobf_run(search, problem):
+    """Everything `search` reports, and the full `on_revise` sequence."""
+    revisions = []
+
+    def on_revise(node, old_v, new_v):
+        revisions.append((node.var, isinstance(node, _AndNode), node.depth,
+                          old_v, new_v))
+
+    res = search(problem, on_revise=on_revise)
+    return (res.status, repr(res.mpe_log), res.assignment, res.stats.expansions,
+            res.stats.cache_hits, res.stats.cache_entries, revisions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), ibound=st.integers(1, 3),
+       family=st.sampled_from(["random", "grid", "chain"]),
+       heuristic=st.sampled_from(["smb", "dmb"]))
+def test_aobf_matches_full_retrace_reference(seed, ibound, family, heuristic):
+    """Keeping the tips between expansions changes no choice AOBF makes."""
+    rng = random.Random(seed)
+    if family == "random":
+        n = rng.randint(10, 20)
+        net = am.gen_random(n, 2, n - 2, 2, seed=seed)
+    elif family == "grid":
+        net, evidence = am.gen_grid(5, 0.5, 3, seed=seed)
+        net = am.apply_evidence(net, evidence)
+    else:
+        net = random_chain(rng.randint(2, 40), seed=seed)
+    problem = am.build_problem(net, am.decompose(net, seed=seed), ibound,
+                               heuristic=heuristic)
+    assert _aobf_run(am.aobf, problem) == _aobf_run(reference_aobf, problem)
+
+
+def test_aobf_solves_a_deep_chain_in_linear_time():
+    # Pseudo-tree height about 5,000. Tracing the whole marked tree on every
+    # expansion makes the search quadratic in the chain length (tens of
+    # seconds for this chain); keeping the tips keeps it linear.
+    net = random_chain(10_000, seed=3)
+    tree = am.decompose(net)
+    problem = am.build_problem(net, tree, 2)
+    t0 = time.perf_counter()
+    res = am.aobf(problem)
+    elapsed = time.perf_counter() - t0
+    assert res.status == "solved"
+    assert res.stats.expansions == 19_998
+    assert close(res.mpe_log, am.bucket_elimination_mpe(net, tree.elim).mpe_log)
+    assert elapsed < 10.0, elapsed
 
 
 def test_empty_problem_is_trivially_solved():
