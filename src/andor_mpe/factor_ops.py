@@ -61,10 +61,7 @@ def combine(factors: list[LogFactor]) -> LogFactor:
     return LogFactor(scope, out)
 
 
-def max_out(f: LogFactor, var: int) -> tuple[LogFactor, np.ndarray]:
-    """Max-marginalize `var`; also return the argmax table (first index wins)."""
-    ax = f.scope.index(var)
-    msg = f.table.max(axis=ax)
-    arg = f.table.argmax(axis=ax)
+def max_out(f: LogFactor, var: int) -> LogFactor:
+    """Max-marginalize `var`."""
     scope = tuple(v for v in f.scope if v != var)
-    return LogFactor(scope, msg), arg
+    return LogFactor(scope, f.table.max(axis=f.scope.index(var)))

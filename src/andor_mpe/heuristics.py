@@ -87,7 +87,7 @@ def mini_bucket_pass(functions, elim_vars, pos, i_bound,
             else:
                 minis.append([set(f.scope), [f]])
         for _, mini in minis:
-            msg, _ = max_out(combine(mini), v)
+            msg = max_out(combine(mini), v)
             entries += msg.table.size
             if max_table_entries is not None and entries > max_table_entries:
                 raise MemoryBudgetExceeded(

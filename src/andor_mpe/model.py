@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,13 +36,6 @@ class Factor:
     scope: tuple[int, ...]
     table: np.ndarray  # linear probabilities, shape = domain sizes of scope
     child: int | None = None
-
-    def is_normalized(self, domains: dict[int, int]) -> bool:
-        if self.child is None:
-            return False
-        d = domains[self.child]
-        rows = self.table.reshape(-1, d)
-        return bool(np.all(np.abs(rows.sum(axis=1) - 1.0) <= ROW_NORMALIZATION_TOL))
 
 
 @dataclass(eq=False)
@@ -79,93 +73,184 @@ class BeliefNetwork:
                 raise ValueError(f"evidence {v}={x} outside domain")
 
 
-def _tokens(text: str):
+def _is_integer(tok: str) -> bool:
+    """The integer rule of both input formats: a count, cardinality, scope
+    variable, table size or evidence token is ASCII decimal digits with an
+    optional leading '-'. So '+3', '1_0' and '٣' are not integers, while
+    '-1' is one (and then fails as a negative count)."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    return digits.isascii() and digits.isdigit()
+
+
+def _first_non_integer(toks: list[str]) -> int:
+    """Index of the first token of `toks` that `_is_integer` rejects, or -1."""
+    joined = "".join(toks)
+    if joined.isascii() and joined.isdigit():  # all non-negative: the usual case
+        return -1
+    return next((k for k, tok in enumerate(toks) if not _is_integer(tok)), -1)
+
+
+def _line_of(text: str, index: int) -> int:
+    """1-based line of token `index` of `text.split()`; 1 before the first."""
+    seen = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        for tok in line.split():
-            yield tok, lineno
+        seen += len(line.split())
+        if seen > index:
+            return lineno
+    return 1
 
 
 def parse_uai(text: str) -> BeliefNetwork:
-    """Parse the UAI BAYES format. Unnormalized CPT rows trigger a warning."""
-    it = _tokens(text)
-    line = 1
+    """Parse the UAI BAYES format. Unnormalized CPT rows trigger a warning.
 
-    def next_tok(what: str):
-        nonlocal line
-        try:
-            tok, line = next(it)
-            return tok
-        except StopIteration:
-            raise UAIParseError(f"unexpected end of input, expected {what}", line)
+    The text is split once. The integer part (preamble, scopes, table sizes)
+    is walked by index; all table entries are converted in one call and
+    checked as one flat buffer, of which each factor's table is a view. The
+    first offending token in reading order is the one reported, with its
+    line, which is worked out only then. Value errors (negative, NaN,
+    infinite or CPT entries above 1) come after every token error: when the
+    buffer has a suspect entry, `BeliefNetwork.validate` names the factor.
+    """
+    toks = text.split()
+    ntok = len(toks)
 
-    def next_int(what: str) -> int:
-        tok = next_tok(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise UAIParseError(f"expected integer {what}, got {tok!r}", line)
+    def error(message: str, at: int) -> UAIParseError:
+        # `at` indexes the offending token; ntok - 1 at the end of the input.
+        return UAIParseError(message, _line_of(text, at))
 
-    def next_float(what: str) -> float:
-        tok = next_tok(what)
-        try:
-            return float(tok)
-        except ValueError:
-            raise UAIParseError(f"non-numeric entry {tok!r} in {what}", line)
+    def bad_integer(at: int, what: str) -> UAIParseError:
+        if at >= ntok:
+            return error(f"unexpected end of input, expected {what}", ntok - 1)
+        return error(f"expected integer {what}, got {toks[at]!r}", at)
 
-    header = next_tok("header")
-    if header.upper() != "BAYES":
-        raise UAIParseError(f"expected BAYES header, got {header!r}", line)
-    n = next_int("variable count")
+    if not toks:
+        raise error("unexpected end of input, expected header", 0)
+    if toks[0].upper() != "BAYES":
+        raise error(f"expected BAYES header, got {toks[0]!r}", 0)
+    if ntok < 2 or not _is_integer(toks[1]):
+        raise bad_integer(1, "variable count")
+    n = int(toks[1])
     if n < 0:
-        raise UAIParseError("negative variable count", line)
-    domains = {}
-    for v in range(n):
-        d = next_int(f"cardinality of variable {v}")
+        raise error("negative variable count", 1)
+    card_toks = toks[2:2 + n]
+    bad = _first_non_integer(card_toks)
+    cards = list(map(int, card_toks[:bad] if bad >= 0 else card_toks))
+    for v, d in enumerate(cards):
         if d < 1:
-            raise UAIParseError(f"cardinality {d} of variable {v} must be >= 1", line)
-        domains[v] = d
-    m = next_int("factor count")
+            raise error(f"cardinality {d} of variable {v} must be >= 1", 2 + v)
+    if len(cards) < n:
+        raise bad_integer(2 + len(cards), f"cardinality of variable {len(cards)}")
+    pos = 2 + n
+    if pos >= ntok or not _is_integer(toks[pos]):
+        raise bad_integer(pos, "factor count")
+    m = int(toks[pos])
     if m < 0:
-        raise UAIParseError("negative factor count", line)
+        raise error("negative factor count", pos)
+    pos += 1
     scopes = []
     for k in range(m):
-        size = next_int(f"scope size of factor {k}")
+        if pos >= ntok or not _is_integer(toks[pos]):
+            raise bad_integer(pos, f"scope size of factor {k}")
+        size = int(toks[pos])
         if size < 0:
-            raise UAIParseError(f"negative scope size of factor {k}", line)
-        scope = tuple(next_int(f"scope variable of factor {k}") for _ in range(size))
+            raise error(f"negative scope size of factor {k}", pos)
+        chunk = toks[pos + 1:pos + 1 + size]
+        bad = _first_non_integer(chunk)
+        if bad >= 0 or len(chunk) < size:
+            raise bad_integer(pos + 1 + (bad if bad >= 0 else len(chunk)),
+                              f"scope variable of factor {k}")
+        pos += 1 + size
+        scope = tuple(map(int, chunk))
         for v in scope:
-            if v not in domains:
-                raise UAIParseError(f"factor {k} references unknown variable {v}", line)
-        if len(set(scope)) != len(scope):
-            raise UAIParseError(f"factor {k} scope {scope} repeats a variable", line)
+            if not 0 <= v < n:
+                raise error(f"factor {k} references unknown variable {v}", pos - 1)
+        if len(set(scope)) != size:
+            raise error(f"factor {k} scope {scope} repeats a variable", pos - 1)
         scopes.append(scope)
+
+    # Table sizes are at known places once each is checked, so the walk only
+    # finds the first error (`pending`); an entry before it that is not a
+    # number is read first and wins.
+    shapes = [tuple(cards[v] for v in scope) for scope in scopes]
+    sizes = [math.prod(shape) for shape in shapes]
+    start = pos
+    size_at = []  # index of each table's size token
+    pending = None
+    for k, size in enumerate(sizes):
+        if pos >= ntok or not _is_integer(toks[pos]):
+            pending = bad_integer(pos, f"table size of factor {k}")
+            break
+        declared = int(toks[pos])
+        if declared != size:
+            pending = error(f"table length mismatch for factor {k}: declared "
+                            f"{declared}, scope implies {size}", pos)
+            break
+        size_at.append(pos)
+        pos += 1 + size
+        if pos > ntok:
+            pending = error(f"unexpected end of input, expected table of factor {k}",
+                            ntok - 1)
+            break
+    else:
+        if pos < ntok:
+            pending = error(f"unexpected token {toks[pos]!r} after the last table", pos)
+    section = toks[start:min(pos, ntok)]
+    try:
+        # Size tokens are decimal integers, so they convert too; dropped below.
+        values = np.array(section, dtype=float)
+    except ValueError:
+        j = next(j for j, tok in enumerate(section) if not _is_float(tok))
+        k = bisect.bisect_right(size_at, start + j) - 1
+        raise error(f"non-numeric entry {section[j]!r} in table of factor {k}",
+                    start + j) from None
+    if pending is not None:
+        raise pending
+    buf = np.delete(values, np.array(size_at, dtype=np.intp) - start)
+    offsets = np.cumsum([0] + sizes)
     factors = []
-    unnormalized = []
-    for k, scope in enumerate(scopes):
-        declared = next_int(f"table size of factor {k}")
-        expected = math.prod(domains[v] for v in scope)
-        if declared != expected:
-            raise UAIParseError(
-                f"table length mismatch for factor {k}: declared {declared}, "
-                f"scope implies {expected}", line)
-        entries = [next_float(f"table of factor {k}") for _ in range(declared)]
-        table = np.array(entries, dtype=float).reshape(
-            tuple(domains[v] for v in scope))
-        f = Factor(scope=scope, table=table, child=scope[-1] if scope else None)
-        if not f.is_normalized(domains):
-            unnormalized.append(k)
-        factors.append(f)
-    extra = next(it, None)
-    if extra is not None:
-        raise UAIParseError(f"unexpected token {extra[0]!r} after the last table",
-                            extra[1])
-    net = BeliefNetwork(variables=list(range(n)), domains=domains, factors=factors)
-    net.validate()
+    for scope, shape, a, b in zip(scopes, shapes, offsets[:-1].tolist(),
+                                  offsets[1:].tolist()):
+        factors.append(Factor(scope=scope, table=buf[a:b].reshape(shape),
+                              child=scope[-1] if scope else None))
+    net = BeliefNetwork(variables=list(range(n)), domains=dict(enumerate(cards)),
+                        factors=factors)
+    if not (np.isfinite(buf) & (buf >= 0)).all() or (buf > 1 + 1e-9).any():
+        # Raises for the first bad factor; passes if only empty-scope factors,
+        # which are no CPTs, have entries above 1.
+        net.validate()
+    unnormalized = _unnormalized(buf, offsets, shapes)
     if unnormalized:
         warnings.warn(
             f"factors {unnormalized} have unnormalized CPT rows; "
             "solving max-product over the given tables", stacklevel=2)
     return net
+
+
+def _is_float(tok: str) -> bool:
+    try:
+        float(tok)
+        return True
+    except ValueError:
+        return False
+
+
+def _unnormalized(buf: np.ndarray, offsets: np.ndarray, shapes: list) -> list[int]:
+    """Factors with a row whose sum is off 1 by more than the tolerance, and
+    every factor with an empty scope, which is no CPT. The rows of one width
+    are summed as one (rows, width) array, so each row sum is bit for bit
+    what `table.reshape(-1, width).sum(axis=1)` gives for its own table."""
+    widths = np.array([shape[-1] if shape else 0 for shape in shapes], dtype=np.intp)
+    sizes = np.diff(offsets)
+    entry_width = np.repeat(widths, sizes)
+    found = np.flatnonzero(widths == 0).tolist()
+    for d in sorted(set(widths.tolist()) - {0}):
+        sums = buf[entry_width == d].reshape(-1, d).sum(axis=1)
+        off = ~(np.abs(sums - 1.0) <= ROW_NORMALIZATION_TOL)
+        if off.any():
+            of_width = widths == d
+            owner = np.repeat(np.flatnonzero(of_width), sizes[of_width] // d)
+            found.extend(owner[off].tolist())
+    return sorted(set(found))
 
 
 def serialize_uai(net: BeliefNetwork) -> str:
@@ -194,15 +279,14 @@ def parse_evidence(text: str) -> dict[int, int]:
         return {}
 
     def integer(k: int) -> int:
-        try:
+        if _is_integer(toks[k]):
             return int(toks[k])
-        except ValueError:
-            if k == 0:
-                what = "the pair count"
-            else:
-                what = f"the {'variable' if k % 2 else 'value'} of pair {(k + 1) // 2}"
-            raise ValueError(f"evidence token {k + 1} is {toks[k]!r}, expected "
-                             f"an integer: {what}") from None
+        if k == 0:
+            what = "the pair count"
+        else:
+            what = f"the {'variable' if k % 2 else 'value'} of pair {(k + 1) // 2}"
+        raise ValueError(f"evidence token {k + 1} is {toks[k]!r}, expected "
+                         f"an integer: {what}")
 
     count = integer(0)
     if len(toks) != 1 + 2 * count:

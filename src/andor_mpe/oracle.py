@@ -66,7 +66,8 @@ def bucket_elimination_mpe(net: BeliefNetwork, elim: EliminationOrder,
         entries += combined.table.size
         if max_table_entries is not None and entries > max_table_entries:
             raise MemoryError(f"bucket tables exceed {max_table_entries} entries")
-        msg, arg = max_out(combined, v)
+        msg = max_out(combined, v)
+        arg = combined.table.argmax(axis=combined.scope.index(v))  # first index wins
         back.append((v, msg.scope, arg))
         if not msg.scope:
             constant += msg.scalar()

@@ -6,10 +6,12 @@ from __future__ import annotations
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 
-from andor_mpe.model import BeliefNetwork, Factor
+from andor_mpe.model import (ROW_NORMALIZATION_TOL, BeliefNetwork, Factor,
+                             UAIParseError, _is_integer)
 from andor_mpe.search import (NEG_INF, SearchLimits, SearchProblem, SearchStats,
                               SolveResult, _AndNode, _assert_cache_bound,
                               _OrNode)
@@ -290,3 +292,107 @@ def reference_aobf(problem: SearchProblem, limits: SearchLimits | None = None,
             "marked arc weights disagree with the root value"
     return SolveResult("solved", root.v, assignment, stats,
                        marked_weight_sum=weight_sum)
+
+
+def _tokens(text: str):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in line.split():
+            yield tok, lineno
+
+
+def _is_normalized(f: Factor, domains: dict[int, int]) -> bool:
+    if f.child is None:
+        return False
+    d = domains[f.child]
+    rows = f.table.reshape(-1, d)
+    return bool(np.all(np.abs(rows.sum(axis=1) - 1.0) <= ROW_NORMALIZATION_TOL))
+
+
+def reference_parse_uai(text: str) -> BeliefNetwork:
+    """Parse the UAI BAYES format. Unnormalized CPT rows trigger a warning.
+
+    A test-only reference for `parse_uai`: it reads one token at a time and
+    builds, checks and normalisation-tests one table per factor, then runs
+    `BeliefNetwork.validate`, where `parse_uai` converts and checks all table
+    entries as one buffer. `next_int` applies the shared integer rule
+    `model._is_integer` before `int()`; apart from that, `_tokens` and
+    `_is_normalized` (the former `Factor.is_normalized`), the body is the
+    token-at-a-time parser verbatim."""
+    it = _tokens(text)
+    line = 1
+
+    def next_tok(what: str):
+        nonlocal line
+        try:
+            tok, line = next(it)
+            return tok
+        except StopIteration:
+            raise UAIParseError(f"unexpected end of input, expected {what}", line)
+
+    def next_int(what: str) -> int:
+        tok = next_tok(what)
+        if not _is_integer(tok):
+            raise UAIParseError(f"expected integer {what}, got {tok!r}", line)
+        return int(tok)
+
+    def next_float(what: str) -> float:
+        tok = next_tok(what)
+        try:
+            return float(tok)
+        except ValueError:
+            raise UAIParseError(f"non-numeric entry {tok!r} in {what}", line)
+
+    header = next_tok("header")
+    if header.upper() != "BAYES":
+        raise UAIParseError(f"expected BAYES header, got {header!r}", line)
+    n = next_int("variable count")
+    if n < 0:
+        raise UAIParseError("negative variable count", line)
+    domains = {}
+    for v in range(n):
+        d = next_int(f"cardinality of variable {v}")
+        if d < 1:
+            raise UAIParseError(f"cardinality {d} of variable {v} must be >= 1", line)
+        domains[v] = d
+    m = next_int("factor count")
+    if m < 0:
+        raise UAIParseError("negative factor count", line)
+    scopes = []
+    for k in range(m):
+        size = next_int(f"scope size of factor {k}")
+        if size < 0:
+            raise UAIParseError(f"negative scope size of factor {k}", line)
+        scope = tuple(next_int(f"scope variable of factor {k}") for _ in range(size))
+        for v in scope:
+            if v not in domains:
+                raise UAIParseError(f"factor {k} references unknown variable {v}", line)
+        if len(set(scope)) != len(scope):
+            raise UAIParseError(f"factor {k} scope {scope} repeats a variable", line)
+        scopes.append(scope)
+    factors = []
+    unnormalized = []
+    for k, scope in enumerate(scopes):
+        declared = next_int(f"table size of factor {k}")
+        expected = math.prod(domains[v] for v in scope)
+        if declared != expected:
+            raise UAIParseError(
+                f"table length mismatch for factor {k}: declared {declared}, "
+                f"scope implies {expected}", line)
+        entries = [next_float(f"table of factor {k}") for _ in range(declared)]
+        table = np.array(entries, dtype=float).reshape(
+            tuple(domains[v] for v in scope))
+        f = Factor(scope=scope, table=table, child=scope[-1] if scope else None)
+        if not _is_normalized(f, domains):
+            unnormalized.append(k)
+        factors.append(f)
+    extra = next(it, None)
+    if extra is not None:
+        raise UAIParseError(f"unexpected token {extra[0]!r} after the last table",
+                            extra[1])
+    net = BeliefNetwork(variables=list(range(n)), domains=domains, factors=factors)
+    net.validate()
+    if unnormalized:
+        warnings.warn(
+            f"factors {unnormalized} have unnormalized CPT rows; "
+            "solving max-product over the given tables", stacklevel=2)
+    return net

@@ -1,6 +1,7 @@
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import andor_mpe as am
 from andor_mpe.model import UAIParseError
 
-from helpers import TWO_VAR_UAI, close
+from helpers import TWO_VAR_UAI, close, reference_parse_uai
 
 
 def test_parse_single_variable_prior():
@@ -233,3 +234,134 @@ def test_parse_evidence_pairs():
             ("2 0 1 1 y", "token 5 is 'y', expected an integer: the value of pair 2")]:
         with pytest.raises(ValueError, match=f"^evidence {re.escape(message)}$"):
             am.parse_evidence(text)
+
+
+def test_integer_tokens_are_ascii_decimal():
+    # '+', '_' separators and non-ASCII digits are not integers; '-' is, so
+    # a negative count still fails as negative.
+    for text, message in [
+            ("BAYES\n1\n1_0\n0\n",
+             "line 3: expected integer cardinality of variable 0, got '1_0'"),
+            ("BAYES\n+1\n2\n0\n", "line 2: expected integer variable count, got '+1'"),
+            ("BAYES\n1\n2\n1\n1 \u0663\n\n2\n0.5 0.5\n",
+             "line 5: expected integer scope variable of factor 0, got '\u0663'"),
+            ("BAYES\n1\n2\n\uff11\n1 0\n\n2\n0.5 0.5\n",
+             "line 4: expected integer factor count, got '\uff11'"),
+            ("BAYES\n1\n2\n1\n1 0\n\n+2\n0.5 0.5\n",
+             "line 7: expected integer table size of factor 0, got '+2'"),
+            ("BAYES 1 2 -1", "line 1: negative factor count")]:
+        with pytest.raises(UAIParseError, match=f"^{re.escape(message)}$"):
+            am.parse_uai(text)
+    # Table entries are numbers, not integers: what float() reads stays valid.
+    net = am.parse_uai("BAYES\n1\n2\n1\n1 0\n\n2\n0.5 5_0e-2\n")
+    assert net.factors[0].table.tolist() == [0.5, 0.5]
+    assert am.parse_evidence("1 -0 007") == {0: 7}
+    for text, message in [
+            ("1 1_0 0", "token 2 is '1_0', expected an integer: the variable of pair 1"),
+            ("1 +3 \u0663", "token 2 is '+3', expected an integer: the variable of pair 1"),
+            ("1 3 \u0663", "token 3 is '\u0663', expected an integer: the value of pair 1"),
+            ("+1 3 0", "token 1 is '+1', expected an integer: the pair count")]:
+        with pytest.raises(ValueError, match=f"^evidence {re.escape(message)}$"):
+            am.parse_evidence(text)
+
+
+def test_parse_reports_the_first_error_in_reading_order():
+    head = "BAYES\n2\n2 2\n3\n1 0\n2 0 1\n0\n\n"
+    for tables, message in [
+            # a bad entry of factor 0 is read before factor 1's table size
+            ("2\n0.5 x\n\n3\n", "line 10: non-numeric entry 'x' in table of factor 0"),
+            ("2\n0.5 0.5\n\n4\n0.5 0.5\n0.5 x\n\n", "line 14: non-numeric entry 'x' "
+             "in table of factor 1"),
+            ("2\n0.5 0.5\n\n4\n0.5 0.5\n0.5 0.5\n",
+             "line 14: unexpected end of input, expected table size of factor 2"),
+            ("2\n0.5 0.5\n\n4\n0.5 0.5\n0.5\n",
+             "line 14: unexpected end of input, expected table of factor 1")]:
+        for parse in (am.parse_uai, reference_parse_uai):
+            with pytest.raises(UAIParseError, match=f"^{re.escape(message)}$"):
+                parse(head + tables)
+    # Value errors come after every token error, for the first factor with
+    # one; within a factor a negative, NaN or infinite entry wins. An
+    # empty-scope factor is no CPT: it may exceed 1, and it always warns.
+    for tables, message in [
+            ("2\n1.5 nan\n\n4\n-1 1 1 1\n\n1\n2\n",
+             "factor 0 has negative, NaN or infinite entries"),
+            ("2\n1.5 0.5\n\n4\n-1 1 1 1\n\n1\n2\n", "factor 0 has CPT entries above 1"),
+            ("2\n0.5 0.5\n\n4\n1 0 1.5 inf\n\n1\n2\n",
+             "factor 1 has negative, NaN or infinite entries"),
+            ("2\n0.5 0.5\n\n4\n1 0 0 1\n\n1\n-2\n",
+             "factor 2 has negative, NaN or infinite entries")]:
+        for parse in (am.parse_uai, reference_parse_uai):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse(head + tables)
+    with pytest.warns(UserWarning, match=re.escape("factors [2] have unnormalized")):
+        am.parse_uai(head + "2\n0.5 0.5\n\n4\n1 0 0 1\n\n1\n2\n")
+
+
+def _parse_outcome(parse, text):
+    """What `parse` makes of `text`: the network's scopes, children and
+    tables, or the error's type, message and line; plus the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            net = parse(text)
+        except ValueError as e:
+            result = (type(e), str(e), getattr(e, "line", None))
+        else:
+            result = (net.variables, net.domains,
+                      [(f.scope, f.child, f.table) for f in net.factors])
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\n\n", " \n ", "\x0b", "\x0c", "\u2028"]
+_MUTANTS = ["x", "-1", "nan", "1_0", "\u0663", "2", "1.5"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), family=st.sampled_from(["random", "grid", "coding"]),
+       scalar=st.none() | st.floats(0, 2),
+       separators=st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=4),
+       where=st.floats(0, 1, exclude_max=True),
+       mutations=st.lists(st.tuples(
+           st.sampled_from(["drop", "duplicate", "replace", "extra"]),
+           st.integers(-3, 3), st.sampled_from(_MUTANTS)), max_size=3))
+def test_parse_uai_matches_token_at_a_time_reference(seed, family, scalar, separators,
+                                                     where, mutations):
+    """Valid texts are generated nets (with an empty-scope factor when
+    `scalar` is set) written with random whitespace; invalid ones change up
+    to three tokens near one place, so that errors can compete."""
+    rng = np.random.default_rng(seed)
+    if family == "random":
+        n = int(rng.integers(1, 9))
+        net = am.gen_random(n, int(rng.integers(1, 4)), max(0, n - 2),
+                            min(2, n - 1), seed=seed)
+    elif family == "grid":
+        net = am.gen_grid(int(rng.integers(2, 4)), 0.5, 0, seed=seed)[0]
+    else:  # its likelihood factors have entries above 1, which CPTs may not
+        net = am.gen_coding(int(rng.integers(2, 5)), 2, 0.1, seed=seed)[0]
+    if scalar is not None:
+        net.factors.insert(int(rng.integers(len(net.factors) + 1)),
+                           am.Factor((), np.array(scalar)))
+    toks = am.serialize_uai(net).split()
+    at = int(where * len(toks))
+    for op, offset, token in mutations:
+        k = min(max(at + offset, 0), len(toks) - 1)
+        if op == "drop":
+            del toks[k]
+        elif op == "duplicate":
+            toks.insert(k, toks[k])
+        elif op == "replace":
+            toks[k] = token
+        else:
+            toks.append(token)
+    gaps = rng.integers(len(separators), size=len(toks))
+    text = "".join(tok + separators[g] for tok, g in zip(toks, gaps))
+    got, got_warnings = _parse_outcome(am.parse_uai, text)
+    want, want_warnings = _parse_outcome(reference_parse_uai, text)
+    assert got_warnings == want_warnings
+    assert got[:2] == want[:2]
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert [f[:2] for f in got[2]] == [f[:2] for f in want[2]]
+        for (_, _, a), (_, _, b) in zip(got[2], want[2]):
+            assert a.shape == b.shape and np.array_equal(a, b)
