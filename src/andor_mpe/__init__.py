@@ -4,6 +4,7 @@ from .model import (BeliefNetwork, Factor, apply_evidence, log_probability,
                     parse_evidence, parse_uai, primal_graph, serialize_uai)
 from .structure import (EliminationOrder, PseudoTree, build_pseudo_tree,
                         min_fill_order, validate_pseudo_tree)
+from .factor_ops import log_factors
 from .heuristics import (DmbEvaluator, MiniBucketTables, SmbEvaluator,
                          compile_smb)
 from .search import SearchLimits, SearchProblem, SolveResult, aobb, aobf
@@ -16,7 +17,7 @@ __all__ = [
     "apply_evidence", "primal_graph", "log_probability",
     "EliminationOrder", "PseudoTree", "min_fill_order", "build_pseudo_tree",
     "validate_pseudo_tree", "decompose", "build_problem",
-    "MiniBucketTables", "SmbEvaluator", "DmbEvaluator", "compile_smb",
+    "log_factors", "MiniBucketTables", "SmbEvaluator", "DmbEvaluator", "compile_smb",
     "SearchProblem", "SearchLimits", "SolveResult", "aobf", "aobb",
     "OracleResult", "enumerate_mpe", "bucket_elimination_mpe",
     "GenSpec", "gen_random", "gen_grid", "gen_coding",

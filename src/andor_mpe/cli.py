@@ -9,10 +9,12 @@ import json
 import math
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import generators, model, oracle, structure
+from .factor_ops import log_factors
 from .heuristics import DmbEvaluator, MemoryBudgetExceeded, SmbEvaluator, compile_smb
 from .search import SearchLimits, SearchProblem, aobb, aobf
 
@@ -73,18 +75,19 @@ def build_problem(net: model.BeliefNetwork, tree: structure.PseudoTree,
                   ibound: int, *, heuristic: str = "smb",
                   max_table_entries: int | None = None) -> SearchProblem:
     """The static ("smb") or dynamic ("dmb") mini-bucket heuristic over
-    `tree`, ready for `aobf`/`aobb`. Raises MemoryBudgetExceeded when the
-    mini-bucket tables outgrow `max_table_entries`."""
+    `tree`, ready for `aobf`/`aobb`; both share one `log_factors` list.
+    Raises MemoryBudgetExceeded when the tables outgrow `max_table_entries`."""
+    factors = log_factors(net.factors)
     if heuristic == "smb":
-        tables = compile_smb(net, tree, ibound,
+        tables = compile_smb(factors, tree, ibound,
                              max_table_entries=max_table_entries)
         evaluator = SmbEvaluator(tables)
     elif heuristic == "dmb":
-        evaluator = DmbEvaluator(net, tree, ibound,
+        evaluator = DmbEvaluator(factors, tree, ibound,
                                  max_table_entries=max_table_entries)
     else:
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    return SearchProblem(net, tree, evaluator)
+    return SearchProblem(net, tree, evaluator, factors)
 
 
 def check_limits(time_limit, memory_limit_mb) -> None:
@@ -229,9 +232,18 @@ def cmd_generate(args) -> int:
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    text = model.serialize_uai(net) + "\n"
+    try:  # a coding likelihood above 1 reads back as a CPT, and is rejected
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # unnormalized rows only warn
+            model.parse_uai(text)
+    except ValueError as e:
+        hint = " (raise --sigma2)" if args.family == "coding" else ""
+        print(f"error: generated network does not read back: {e}{hint}",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
     with open(args.out + ".uai", "w") as fh:
-        fh.write(model.serialize_uai(net))
-        fh.write("\n")
+        fh.write(text)
     with open(args.out + ".uai.evid", "w") as fh:
         parts = [str(len(evidence))]
         for v in sorted(evidence):

@@ -1,6 +1,8 @@
-"""Log-space table algebra shared by the oracles and mini-bucket code."""
+"""Log-space factors, their algebra and their flat lookup tables."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -13,11 +15,6 @@ class LogFactor:
     def __init__(self, scope: tuple[int, ...], table: np.ndarray):
         self.scope = tuple(scope)
         self.table = np.asarray(table, dtype=float)
-
-    @classmethod
-    def from_linear(cls, scope: tuple[int, ...], table: np.ndarray) -> "LogFactor":
-        with np.errstate(divide="ignore"):
-            return cls(scope, np.log(np.asarray(table, dtype=float)))
 
     def aligned(self, union_scope: tuple[int, ...]) -> np.ndarray:
         """View of the table broadcastable over `union_scope` axes."""
@@ -40,23 +37,40 @@ class LogFactor:
         return float(self.table)
 
 
+def log_factors(factors) -> list[LogFactor]:
+    """Each factor's table in log space (zero becomes -inf), in order.
+    Callers share the result and do not modify it."""
+    with np.errstate(divide="ignore"):
+        return [LogFactor(f.scope, np.log(np.asarray(f.table, dtype=float)))
+                for f in factors]
+
+
+class FlatTable:
+    """A LogFactor as a flat list with strides: `fn(asg)` is its entry at
+    `asg` (a list indexed by variable, or a dict), found in O(scope)."""
+
+    __slots__ = ("scope", "strides", "flat")
+
+    def __init__(self, f: LogFactor):
+        shape = f.table.shape
+        self.scope = f.scope
+        self.strides = tuple(math.prod(shape[k + 1:]) for k in range(len(shape)))
+        self.flat = f.table.ravel().tolist()
+
+    def __call__(self, asg) -> float:
+        i = 0
+        for v, s in zip(self.scope, self.strides):
+            i += s * asg[v]
+        return self.flat[i]
+
+
 def combine(factors: list[LogFactor]) -> LogFactor:
-    """Log-space product (elementwise sum) over the union scope."""
-    union: list[int] = []
-    for f in factors:
-        for v in f.scope:
-            if v not in union:
-                union.append(v)
-    scope = tuple(union)
-    shape = tuple()
-    # Determine full shape from whichever factor carries each axis.
-    sizes = {}
-    for f in factors:
-        for v, d in zip(f.scope, f.table.shape):
-            sizes[v] = d
-    shape = tuple(sizes[v] for v in scope)
-    out = np.zeros(shape)
-    for f in factors:
+    """Log-space product (elementwise sum) of at least one factor, over the
+    union scope in order of first appearance."""
+    scope = tuple(dict.fromkeys(v for f in factors for v in f.scope))
+    first, *rest = factors
+    out = first.aligned(scope)
+    for f in rest:
         out = out + f.aligned(scope)
     return LogFactor(scope, out)
 

@@ -6,36 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .factor_ops import LogFactor, combine, max_out
-from .model import BeliefNetwork
+from .factor_ops import FlatTable, LogFactor, combine, max_out
 from .structure import PseudoTree
 
 
 class MemoryBudgetExceeded(RuntimeError):
     pass
-
-
-class _CompiledFn:
-    """Flat table with per-variable strides for O(scope) lookups."""
-
-    __slots__ = ("scope", "strides", "flat")
-
-    def __init__(self, f: LogFactor):
-        self.scope = f.scope
-        shape = f.table.shape
-        strides = []
-        acc = 1
-        for d in reversed(shape):
-            strides.append(acc)
-            acc *= d
-        self.strides = tuple(reversed(strides))
-        self.flat = f.table.ravel().tolist()
-
-    def __call__(self, asg) -> float:
-        i = 0
-        for v, s in zip(self.scope, self.strides):
-            i += s * asg[v]
-        return self.flat[i]
 
 
 @dataclass
@@ -109,20 +85,20 @@ class MiniBucketTables:
     destination bucket lies outside it."""
 
     root_bound: float
-    exiting: dict[int, list[_CompiledFn]]
+    exiting: dict[int, list[FlatTable]]
     table_entries: int
 
 
-def compile_smb(net: BeliefNetwork, tree: PseudoTree, i_bound: int,
+def compile_smb(factors: list[LogFactor], tree: PseudoTree, i_bound: int,
                 max_table_entries: int | None = None) -> MiniBucketTables:
+    """SMB tables over `tree` of a network's log factors (`log_factors`)."""
     elim = tree.elim
-    functions = [LogFactor.from_linear(f.scope, f.table) for f in net.factors]
     constant, records = mini_bucket_pass(
-        functions, list(elim.order), elim.position, i_bound, max_table_entries)
-    exiting: dict[int, list[_CompiledFn]] = {v: [] for v in elim.order}
+        factors, list(elim.order), elim.position, i_bound, max_table_entries)
+    exiting: dict[int, list[FlatTable]] = {v: [] for v in elim.order}
     entries = 0
     for rec in records:
-        compiled = _CompiledFn(rec.factor)
+        compiled = FlatTable(rec.factor)
         entries += len(compiled.flat)
         cur = rec.origin
         while cur is not None and cur != rec.dest:
@@ -150,29 +126,27 @@ class SmbEvaluator:
 
 class DmbEvaluator:
     """Dynamic heuristic: a fresh mini-bucket sweep over the conditioned
-    subproblem at every evaluated node."""
+    subproblem at every evaluated node, from a network's `log_factors`."""
 
-    def __init__(self, net: BeliefNetwork, tree: PseudoTree, i_bound: int,
-                 max_table_entries: int | None = None):
+    def __init__(self, factors: list[LogFactor], tree: PseudoTree,
+                 i_bound: int, max_table_entries: int | None = None):
         self.i_bound = i_bound
         self.max_table_entries = max_table_entries
         pos = tree.elim.position
         self._pos = pos
-        self._logfactors = [LogFactor.from_linear(f.scope, f.table)
-                            for f in net.factors]
+        self._logfactors = factors
         self._subtree_vars: dict[int, list[int]] = {}
         self._subtree_set: dict[int, set[int]] = {}
         self._subtree_factors: dict[int, list[int]] = {}
-        bucket_of = {}
-        for k, f in enumerate(net.factors):
-            bucket_of[k] = min(f.scope, key=lambda v: pos[v]) if f.scope else None
+        bucket_of = [min(f.scope, key=lambda v: pos[v]) if f.scope else None
+                     for f in factors]
         for v in tree.parent:
             sub = tree.subtree(v)
             sub.sort(key=lambda u: pos[u])
             self._subtree_vars[v] = sub
             ss = set(sub)
             self._subtree_set[v] = ss
-            self._subtree_factors[v] = [k for k, b in bucket_of.items() if b in ss]
+            self._subtree_factors[v] = [k for k, b in enumerate(bucket_of) if b in ss]
 
     def h_or(self, var: int, asg) -> float:
         ss = self._subtree_set[var]

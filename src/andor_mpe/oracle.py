@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factor_ops import LogFactor, combine, max_out
+from .factor_ops import LogFactor, combine, log_factors, max_out
 from .model import BeliefNetwork
 from .structure import EliminationOrder
 
@@ -31,8 +31,8 @@ def enumerate_mpe(net: BeliefNetwork, cap: int = DEFAULT_ENUMERATION_CAP) -> Ora
     if size > cap:
         raise ValueError(f"joint size {size} exceeds enumeration cap {cap}")
     joint = np.zeros(shape)
-    for f in net.factors:
-        joint += LogFactor.from_linear(f.scope, f.table).aligned(tuple(variables))
+    for f in log_factors(net.factors):
+        joint += f.aligned(tuple(variables))
     flat = int(joint.argmax())
     idx = np.unravel_index(flat, shape)
     assignment = {v: int(x) for v, x in zip(variables, idx)}
@@ -49,8 +49,7 @@ def bucket_elimination_mpe(net: BeliefNetwork, elim: EliminationOrder,
     pos = elim.position
     buckets: dict[int, list[LogFactor]] = {v: [] for v in elim.order}
     constant = 0.0
-    for f in net.factors:
-        lf = LogFactor.from_linear(f.scope, f.table)
+    for lf in log_factors(net.factors):
         if not lf.scope:
             constant += lf.scalar()
             continue

@@ -8,8 +8,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .factor_ops import LogFactor
-from .heuristics import _CompiledFn
+from .factor_ops import FlatTable
 from .model import BeliefNetwork
 from .structure import PseudoTree, context_cache_bound
 
@@ -42,9 +41,10 @@ class SolveResult:
 class SearchProblem:
     """Immutable per-instance precomputation shared by both algorithms.
 
-    Every CPT is statically assigned to its deepest scope variable in the
-    pseudo-tree (a scalar factor to the root), so each CPT contributes to
-    exactly one arc weight along any root-to-leaf path.
+    `factors` are `net`'s `log_factors`. Every CPT is statically assigned
+    to its deepest scope variable in the pseudo-tree (a scalar factor to
+    the root), so each CPT contributes to exactly one arc weight along any
+    root-to-leaf path.
 
     The search asks the model only for `weight(X, asg)` and for the
     evaluator's one query, `h_or(X, asg)`, an upper bound on the OR node of
@@ -55,7 +55,7 @@ class SearchProblem:
     and keeps them until it expands the node.
     """
 
-    def __init__(self, net: BeliefNetwork, tree: PseudoTree, evaluator):
+    def __init__(self, net: BeliefNetwork, tree: PseudoTree, evaluator, factors):
         self.tree = tree
         self.contexts = tree.contexts
         self.evaluator = evaluator
@@ -64,11 +64,10 @@ class SearchProblem:
         self.domains = net.domains
         self.children = tree.children
         self.preorder = {v: tree.preorder_index(v) for v in self.variables}
-        self.weight_fns: dict[int, list[_CompiledFn]] = {v: [] for v in self.variables}
-        for f in net.factors:
+        self.weight_fns: dict[int, list[FlatTable]] = {v: [] for v in self.variables}
+        for f in factors:
             wvar = max(f.scope, key=lambda u: tree.depth[u], default=tree.root)
-            self.weight_fns[wvar].append(
-                _CompiledFn(LogFactor.from_linear(f.scope, f.table)))
+            self.weight_fns[wvar].append(FlatTable(f))
 
     def weight(self, var: int, asg) -> float:
         """Arc weight into <var, asg[var]>; asg must cover the tree path."""

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 
+from andor_mpe.factor_ops import LogFactor
 from andor_mpe.model import (ROW_NORMALIZATION_TOL, BeliefNetwork, Factor,
                              UAIParseError, _is_integer)
 from andor_mpe.search import (NEG_INF, SearchLimits, SearchProblem, SearchStats,
@@ -396,3 +397,35 @@ def reference_parse_uai(text: str) -> BeliefNetwork:
             f"factors {unnormalized} have unnormalized CPT rows; "
             "solving max-product over the given tables", stacklevel=2)
     return net
+
+
+def reference_log_factors(factors) -> list[LogFactor]:
+    """The old per-factor conversion, `LogFactor.from_linear`: its own
+    `np.errstate` and `np.log` for each factor. A test-only reference for
+    `factor_ops.log_factors`."""
+    out = []
+    for f in factors:
+        with np.errstate(divide="ignore"):
+            out.append(LogFactor(f.scope, np.log(np.asarray(f.table, dtype=float))))
+    return out
+
+
+def reference_combine(factors: list[LogFactor]) -> LogFactor:
+    """The old `combine`, verbatim but for its dead first `shape`: it sizes
+    the union scope from the factors and adds each aligned table to a zero
+    table. A test-only reference for `factor_ops.combine`."""
+    union: list[int] = []
+    for f in factors:
+        for v in f.scope:
+            if v not in union:
+                union.append(v)
+    scope = tuple(union)
+    sizes = {}
+    for f in factors:
+        for v, d in zip(f.scope, f.table.shape):
+            sizes[v] = d
+    shape = tuple(sizes[v] for v in scope)
+    out = np.zeros(shape)
+    for f in factors:
+        out = out + f.aligned(scope)
+    return LogFactor(scope, out)

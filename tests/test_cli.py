@@ -256,6 +256,20 @@ def test_generate_rejects_bad_params(tmp_path, capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_generate_refuses_a_coding_net_that_does_not_read_back(
+        tmp_path, capsys, recwarn):
+    argv = ["generate", "--family", "coding", "--n", "6", "--p", "3"]
+    assert main(argv + ["--sigma2", "0.1", "--out", str(tmp_path / "low")]) \
+        == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "factor 12 has CPT entries above 1" in err and "--sigma2" in err
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == EXIT_SOLVED
+    assert not [w for w in recwarn if "unnormalized" in str(w.message)]
+    code, _ = solve_stdout(["solve", "--input", str(tmp_path / "ok.uai")])
+    assert code == EXIT_SOLVED
+
+
 def test_generate_then_solve_round_trip(tmp_path):
     out = tmp_path / "r"
     main(["generate", "--family", "random", "--out", str(out),

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import andor_mpe as am
-from andor_mpe.factor_ops import LogFactor
+from andor_mpe.factor_ops import log_factors
 from andor_mpe.heuristics import MemoryBudgetExceeded, mini_bucket_pass
 
 from helpers import close, exact_subproblem_values
@@ -43,8 +43,7 @@ def test_mini_bucket_messages_respect_ibound():
     checked = 0
     for seed in range(40):
         net = am.gen_random(14, 2, 12, 2, seed=seed)
-        functions = [LogFactor.from_linear(f.scope, f.table)
-                     for f in net.factors]
+        functions = log_factors(net.factors)
         widest = max(len(f.scope) for f in functions)
         elim = am.decompose(net).elim
         pos = elim.position
@@ -65,7 +64,7 @@ def test_mini_bucket_rejects_bad_ibound():
 def test_mini_bucket_single_bucket_is_exact_elimination():
     net = am.parse_uai(
         "BAYES\n1\n3\n1\n1 0\n\n3\n0.2 0.5 0.3\n")
-    functions = [LogFactor.from_linear(f.scope, f.table) for f in net.factors]
+    functions = log_factors(net.factors)
     constant, records = mini_bucket_pass(functions, [0], {0: 0}, 1)
     assert close(constant, math.log(0.5))
     assert all(r.dest is None for r in records)
@@ -75,7 +74,7 @@ def test_memory_budget_raises():
     net = am.gen_random(12, 2, 10, 2, seed=3)
     tree = am.decompose(net)
     with pytest.raises(MemoryBudgetExceeded):
-        am.compile_smb(net, tree, 6, max_table_entries=2)
+        am.compile_smb(log_factors(net.factors), tree, 6, max_table_entries=2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,7 +83,7 @@ def test_root_bound_is_admissible(seed, ibound):
     net = small_net(seed)
     exact = am.enumerate_mpe(net).mpe_log
     tree = am.decompose(net)
-    tables = am.compile_smb(net, tree, ibound)
+    tables = am.compile_smb(log_factors(net.factors), tree, ibound)
     assert tables.root_bound >= exact - 1e-9
 
 
@@ -94,7 +93,7 @@ def test_root_bound_exact_at_full_ibound(seed):
     net = small_net(seed)
     exact = am.enumerate_mpe(net).mpe_log
     tree = am.decompose(net)
-    tables = am.compile_smb(net, tree, tree.elim.induced_width + 1)
+    tables = am.compile_smb(log_factors(net.factors), tree, tree.elim.induced_width + 1)
     assert close(tables.root_bound, exact)
 
 
@@ -153,8 +152,8 @@ def test_dmb_never_looser_than_smb(seed):
 def test_dmb_at_root_equals_smb_root_bound(seed, ibound):
     net = small_net(seed)
     tree = am.decompose(net)
-    tables = am.compile_smb(net, tree, ibound)
-    dmb_root = am.DmbEvaluator(net, tree, ibound).h_or(tree.root, {})
+    tables = am.compile_smb(log_factors(net.factors), tree, ibound)
+    dmb_root = am.DmbEvaluator(log_factors(net.factors), tree, ibound).h_or(tree.root, {})
     assert dmb_root == tables.root_bound  # same sweep, bit-identical
 
 

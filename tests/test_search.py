@@ -252,7 +252,7 @@ def test_empty_problem_is_trivially_solved():
         def h_or(self, var, asg):
             return 0.0
 
-    problem = am.SearchProblem(net, tree, _Zero())
+    problem = am.SearchProblem(net, tree, _Zero(), [])
     for res in (am.aobf(problem), am.aobb(problem)):
         assert res.status == "solved"
         assert res.mpe_log == 0.0 and res.assignment == {}
