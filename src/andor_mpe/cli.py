@@ -109,8 +109,9 @@ def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
     """Full solving pipeline; returns (RunRecord, full assignment or None).
 
     Wall time covers ordering, heuristic compilation and search; parsing and
-    evidence reduction are excluded. Raises ValueError on a bad limit
-    (`check_limits`).
+    evidence reduction are excluded. The time that ordering and compilation
+    leave of `time_limit` bounds the search or oracle, which then ends as
+    "timeout". Raises ValueError on a bad limit (`check_limits`).
     """
     check_limits(time_limit, memory_limit_mb)
     n_orig = len(net.variables) + len(net.evidence)
@@ -135,22 +136,27 @@ def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
     else:
         tree = decompose(reduced, seed=seed)
         w_star, h = tree.elim.induced_width, tree.height
+
+        def remaining():
+            if time_limit is None:
+                return None
+            return max(0.0, time_limit - (time.perf_counter() - t0))
+
         try:
             if algorithm == "brute":
-                res = oracle.enumerate_mpe(reduced)
+                res = oracle.enumerate_mpe(reduced, time_limit=remaining())
                 mpe_log, assignment = res.mpe_log, res.assignment
             elif algorithm == "be":
-                res = oracle.bucket_elimination_mpe(reduced, tree.elim,
-                                                    max_table_entries=max_entries)
+                res = oracle.bucket_elimination_mpe(
+                    reduced, tree.elim, max_table_entries=max_entries,
+                    time_limit=remaining())
                 mpe_log, assignment = res.mpe_log, res.assignment
             else:
                 problem = build_problem(reduced, tree, ibound,
                                         heuristic=heuristic,
                                         max_table_entries=max_entries)
-                remaining = None
-                if time_limit is not None:
-                    remaining = max(0.0, time_limit - (time.perf_counter() - t0))
-                limits = SearchLimits(time_limit_s=remaining, max_nodes=max_nodes)
+                limits = SearchLimits(time_limit_s=remaining(),
+                                      max_nodes=max_nodes)
                 if algorithm == "aobf":
                     res = aobf(problem, limits=limits)
                 elif algorithm == "aobb":
@@ -164,6 +170,8 @@ def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
                 stats_entries = res.stats.cache_entries
         except (MemoryBudgetExceeded, MemoryError):
             status = "memout"
+        except oracle.TimeLimitExceeded:
+            status = "timeout"
     elapsed = time.perf_counter() - t0
     mpe_log10 = mpe_prob = None
     if status == "solved":

@@ -19,8 +19,9 @@ class LogFactor:
     def aligned(self, union_scope: tuple[int, ...]) -> np.ndarray:
         """View of the table broadcastable over `union_scope` axes."""
         present = [v for v in union_scope if v in self.scope]
-        perm = [self.scope.index(v) for v in present]
-        arr = np.transpose(self.table, perm)
+        arr = self.table
+        if tuple(present) != self.scope:
+            arr = np.transpose(arr, [self.scope.index(v) for v in present])
         shape = tuple(arr.shape[present.index(v)] if v in present else 1
                       for v in union_scope)
         return arr.reshape(shape)

@@ -4,7 +4,10 @@ max-product value of the subproblem they summarize."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .factor_ops import FlatTable, LogFactor, combine, max_out
 from .structure import PseudoTree
@@ -21,60 +24,101 @@ class MessageRecord:
     factor: LogFactor
 
 
-def mini_bucket_pass(functions, elim_vars, pos, i_bound,
-                     max_table_entries=None):
-    """One mini-bucket elimination sweep.
+def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims,
+                         max_table_entries=None):
+    """The shape of one mini-bucket elimination sweep, from scopes alone.
 
-    `functions` is a list of LogFactors; every scope variable must be in
-    `elim_vars` or the function is misplaced. Buckets are processed in
-    elimination order; each bucket is greedily partitioned (first-fit over
-    functions sorted by decreasing scope size) into mini-buckets of joint
-    scope at most `i_bound` variables, except that a single function wider
-    than the bound is kept whole.
+    `scopes` are the ordered scopes of the input functions; every scope
+    variable must be in `elim_vars`, or the function is misplaced. Buckets
+    are processed in elimination order; each bucket is greedily partitioned
+    (first-fit over functions sorted by decreasing scope size, then by
+    scope) into mini-buckets of joint scope at most `i_bound` variables,
+    except that a single function wider than the bound is kept whole.
 
-    Returns (constant, records): the summed scalar output and the emitted
-    messages.
+    Returns (constants, steps). `constants` are the indices of the empty
+    scopes. Step j is (var, members, union, dest): the mini-bucket of
+    functions `members`, whose tables are added in that order over `union`
+    (their variables in order of first appearance), eliminates `var` and
+    emits function len(scopes) + j over `union` without `var`. It joins the
+    bucket of `dest`, its earliest variable, or is a constant when `dest`
+    is None. Raises MemoryBudgetExceeded when the messages, sized by
+    `dims` (variable -> domain size, read only under a budget), exceed
+    `max_table_entries` entries.
     """
     if i_bound < 1:
         raise ValueError("i-bound must be >= 1")
+    scopes = list(scopes)
+    key = pos.__getitem__
+    # a bucket holds (-len(scope), scope, index) and sorts by scope as the
+    # rule says; ties keep the order of arrival, which is index order
     bucket: dict[int, list] = {v: [] for v in elim_vars}
-    constant = 0.0
-    records: list[MessageRecord] = []
-    for f in functions:
-        if not f.scope:
-            constant += f.scalar()
-            continue
-        b = min(f.scope, key=lambda v: pos[v])
-        bucket[b].append(f)
+    constants = []
+    for k, scope in enumerate(scopes):
+        if scope:
+            bucket[min(scope, key=key)].append((-len(scope), scope, k))
+        else:
+            constants.append(k)
+    steps = []
     entries = 0
     for v in elim_vars:
         funcs = bucket[v]
         if not funcs:
             continue
-        funcs.sort(key=lambda f: (-len(f.scope), f.scope))
-        minis: list[list] = []  # [joint scope set, [factor, ...]]
-        for f in funcs:
+        funcs.sort()
+        minis: list[list] = []  # [joint scope set, [function index, ...]]
+        for _, scope, k in funcs:
+            fs = set(scope)
             for mb in minis:
-                u = mb[0] | set(f.scope)
+                u = mb[0] | fs
                 if len(u) <= i_bound:
                     mb[0] = u
-                    mb[1].append(f)
+                    mb[1].append(k)
                     break
             else:
-                minis.append([set(f.scope), [f]])
-        for _, mini in minis:
-            msg = max_out(combine(mini), v)
-            entries += msg.table.size
-            if max_table_entries is not None and entries > max_table_entries:
-                raise MemoryBudgetExceeded(
-                    f"mini-bucket tables exceed {max_table_entries} entries")
-            if not msg.scope:
-                constant += msg.scalar()
-                records.append(MessageRecord(v, None, msg))
+                minis.append([fs, [k]])
+        for _, members in minis:
+            union = tuple(dict.fromkeys(
+                [u for k in members for u in scopes[k]]))
+            scope = tuple([u for u in union if u != v])
+            if max_table_entries is not None:
+                entries += math.prod([dims[u] for u in scope])
+                if entries > max_table_entries:
+                    raise MemoryBudgetExceeded(
+                        f"mini-bucket tables exceed {max_table_entries} "
+                        f"entries")
+            if scope:
+                dest = min(scope, key=key)
+                bucket[dest].append((-len(scope), scope, len(scopes)))
             else:
-                dest = min(msg.scope, key=lambda u: pos[u])
-                bucket[dest].append(msg)
-                records.append(MessageRecord(v, dest, msg))
+                dest = None
+            scopes.append(scope)
+            steps.append((v, members, union, dest))
+    return constants, steps
+
+
+def mini_bucket_pass(functions, elim_vars, pos, i_bound,
+                     max_table_entries=None):
+    """One mini-bucket elimination sweep over LogFactors, in the order
+    `mini_bucket_schedule` gives.
+
+    Returns (constant, records): the summed scalar output and the emitted
+    messages.
+    """
+    dims = None if max_table_entries is None else _domain_sizes(functions)
+    constants, steps = mini_bucket_schedule(
+        [f.scope for f in functions], elim_vars, pos, i_bound, dims,
+        max_table_entries)
+    constant = 0.0
+    for k in constants:
+        constant += functions[k].scalar()
+    funcs = list(functions)
+    records: list[MessageRecord] = []
+    for v, members, _, dest in steps:
+        msg = max_out(combine([funcs[k] for k in members]), v)
+        funcs.append(msg)
+        if dest is None:
+            constant += msg.scalar()
+        records.append(MessageRecord(v, dest, msg))
     return constant, records
 
 
@@ -125,39 +169,163 @@ class SmbEvaluator:
 
 
 class DmbEvaluator:
-    """Dynamic heuristic: a fresh mini-bucket sweep over the conditioned
-    subproblem at every evaluated node, from a network's `log_factors`."""
+    """Dynamic heuristic: the mini-bucket sweep over the subproblem below
+    each evaluated node, conditioned on the node's context, from a
+    network's `log_factors`.
+
+    The sweep below a variable has the same shape at every node: which
+    factors reach outside its subtree (the cut factors), the buckets, the
+    mini-buckets and the message scopes. So each variable's sweep is
+    compiled once, on its first `h_or`. Every step that no cut factor feeds
+    runs then; a call indexes each cut factor's table with the context and
+    replays only the other steps, with the same additions in the same
+    order, so it returns the same bits as the full sweep.
+    """
 
     def __init__(self, factors: list[LogFactor], tree: PseudoTree,
                  i_bound: int, max_table_entries: int | None = None):
         self.i_bound = i_bound
         self.max_table_entries = max_table_entries
-        pos = tree.elim.position
-        self._pos = pos
-        self._logfactors = factors
-        self._subtree_vars: dict[int, list[int]] = {}
-        self._subtree_set: dict[int, set[int]] = {}
-        self._subtree_factors: dict[int, list[int]] = {}
-        bucket_of = [min(f.scope, key=lambda v: pos[v]) if f.scope else None
-                     for f in factors]
-        for v in tree.parent:
-            sub = tree.subtree(v)
-            sub.sort(key=lambda u: pos[u])
-            self._subtree_vars[v] = sub
-            ss = set(sub)
-            self._subtree_set[v] = ss
-            self._subtree_factors[v] = [k for k, b in enumerate(bucket_of) if b in ss]
+        self._tree = tree
+        self._pos = pos = tree.elim.position
+        self._factors = factors
+        self._dims = _domain_sizes(factors)
+        self._by_bucket: dict[int, list[int]] = {v: [] for v in tree.parent}
+        for k, f in enumerate(factors):
+            if f.scope:
+                self._by_bucket[min(f.scope, key=pos.__getitem__)].append(k)
+        # dfs_order is a preorder: a subtree is the slice of it that starts
+        # at its root and spans the subtree's size
+        self._size = size = dict.fromkeys(tree.parent, 1)
+        for v in reversed(tree.dfs_order):
+            p = tree.parent[v]
+            if p is not None:
+                size[p] += size[v]
+        self._plans: dict[int, tuple] = {}
 
     def h_or(self, var: int, asg) -> float:
-        ss = self._subtree_set[var]
-        functions = []
-        for k in self._subtree_factors[var]:
-            lf = self._logfactors[k]
-            fixed = {u: asg[u] for u in lf.scope if u not in ss}
-            functions.append(lf.restrict(fixed) if fixed else lf)
-        constant, records = mini_bucket_pass(
-            functions, self._subtree_vars[var], self._pos, self.i_bound,
-            self.max_table_entries)
+        plan = self._plans.get(var)
+        if plan is None:
+            plan = self._plans[var] = self._compile(var)
+        total, template, cuts, steps = plan
+        vals = template.copy()
+        for i, fixed, table in cuts:
+            vals[i] = table[tuple([asg[u] for u in fixed])]
+        for first, rest, axis, out, perm, shape, after in steps:
+            acc = vals[first]
+            for i in rest:
+                acc = acc + vals[i]
+            msg = _max_reduce(acc, axis)
+            if out is None:
+                total += float(msg)
+                for c in after:
+                    total += c
+            else:
+                if perm is not None:
+                    msg = msg.transpose(perm)
+                if shape is not None:
+                    msg = msg.reshape(shape)
+                vals[out] = msg
+        return total
+
+    def _compile(self, var: int) -> tuple:
+        """(constant, template, cuts, steps) of `var`'s sweep.
+
+        A call copies `template`, the list of arrays that the steps read,
+        and fills its gaps: each cut (slot, fixed variables, table) with the
+        table indexed by the fixed variables' values, and each message step
+        with its output. A step (first, rest, axis, out, perm, shape, after)
+        adds the arrays in slots `first` and `rest`, maximizes over `axis`,
+        and either puts the message, transposed by `perm` and reshaped to
+        `shape` for its reader, in slot `out`, or, when `out` is None, adds
+        the constant and then the context-free constants `after` it to the
+        total, which starts from `constant`.
+        """
+        tree, pos, dims = self._tree, self._pos, self._dims
+        start = tree.preorder_index(var)
+        sub = sorted(tree.dfs_order[start:start + self._size[var]],
+                     key=pos.__getitem__)
+        inside = set(sub)
+        factors = [self._factors[k] for u in sub for k in self._by_bucket[u]]
+        fixed = [tuple(u for u in f.scope if u not in inside) for f in factors]
+        scopes = [tuple(u for u in f.scope if u in inside) for f in factors]
+        constants, steps = mini_bucket_schedule(
+            scopes, sub, pos, self.i_bound, dims, self.max_table_entries)
         # every message is consumed inside the subtree; only constants remain
-        assert all(r.dest is None or r.dest in ss for r in records)
-        return constant
+        assert all(dest is None or dest in inside for *_, dest in steps)
+        n = len(factors)
+        reader = {k: j for j, step in enumerate(steps) for k in step[1]}
+        # function index -> its LogFactor, or None when it reads the context
+        value = [None if fx else f for f, fx in zip(factors, fixed)]
+        consts = [value[k].scalar() for k in constants]  # or a step's `after`
+        template: list = []
+        slot: dict[int, int] = {}  # dynamic message -> its slot
+        cuts, dynamic = [], []
+        for j, (v, members, union, dest) in enumerate(steps):
+            if all(value[k] is not None for k in members):
+                msg = max_out(combine([value[k] for k in members]), v)
+                value.append(msg)
+                if dest is None:
+                    consts.append(msg.scalar())
+                continue
+            value.append(None)
+            slots = []
+            p = next(i for i, k in enumerate(members) if value[k] is None)
+            if p:  # fold the context-free prefix of the sum
+                acc = value[members[0]].aligned(union)
+                for k in members[1:p]:
+                    acc = acc + value[k].aligned(union)
+                slots.append(len(template))
+                template.append(acc)
+            for k in members[p:]:
+                if k in slot:
+                    slots.append(slot.pop(k))
+                    continue
+                slots.append(len(template))
+                if value[k] is not None:
+                    template.append(value[k].aligned(union))
+                else:
+                    template.append(None)
+                    cuts.append((slots[-1], fixed[k],
+                                 factors[k].aligned(fixed[k] + union)))
+            out = perm = shape = after = None
+            if dest is None:
+                after = []
+                consts.append(after)
+            else:
+                out = slot[n + j] = len(template)
+                template.append(None)
+                scope = tuple(u for u in union if u != v)
+                perm, shape = _broadcast(scope, steps[reader[n + j]][2], dims)
+            dynamic.append((slots[0], tuple(slots[1:]), union.index(v), out,
+                            perm, shape, after))
+        constant, tail = 0.0, None
+        for c in consts:
+            if isinstance(c, list):
+                tail = c
+            elif tail is None:
+                constant += c
+            else:
+                tail.append(c)
+        return constant, template, cuts, dynamic
+
+
+_max_reduce = np.maximum.reduce  # ndarray.max without its wrapper
+
+
+def _domain_sizes(factors) -> dict[int, int]:
+    return {v: d for f in factors for v, d in zip(f.scope, f.table.shape)}
+
+
+def _broadcast(scope, union, dims):
+    """(perm, shape) that make a table over `scope` broadcast over `union`;
+    each is None when it is not needed. A table whose variables end
+    `union`, in its order, broadcasts as it is."""
+    present = [u for u in union if u in scope]
+    perm = None
+    if present != list(scope):
+        perm = tuple(scope.index(u) for u in present)
+    shape = None
+    if present != list(union[len(union) - len(present):]):
+        shape = tuple(dims[u] if u in scope else 1 for u in union)
+    return perm, shape

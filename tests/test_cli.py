@@ -10,7 +10,7 @@ import andor_mpe as am
 from andor_mpe.cli import (CSV_COLUMNS, EXIT_INPUT_ERROR, EXIT_SOLVED,
                            EXIT_TIMEOUT, RunRecord, main, run_instance)
 
-from helpers import TWO_VAR_UAI, close
+from helpers import TWO_VAR_UAI, close, random_chain
 
 
 @pytest.fixture
@@ -68,6 +68,17 @@ def test_run_instance_algorithms_agree():
 def test_run_instance_timeout_status():
     net = am.gen_random(10, 2, 8, 2, seed=5)
     record, assignment = run_instance(net, {}, time_limit=0.0)
+    assert record.status == "timeout"
+    assert record.mpe_log10 is None and assignment is None
+
+
+@pytest.mark.parametrize("algorithm, n", [("be", 2000), ("brute", 20)])
+def test_oracles_hold_the_time_limit(algorithm, n):
+    # `brute` on 2,000 variables is refused by the enumeration cap
+    net = random_chain(n)
+    assert run_instance(net, {}, algorithm=algorithm)[0].status == "solved"
+    record, assignment = run_instance(net, {}, algorithm=algorithm,
+                                      time_limit=1e-6)
     assert record.status == "timeout"
     assert record.mpe_log10 is None and assignment is None
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 import andor_mpe as am
 from andor_mpe.factor_ops import log_factors
 from andor_mpe.heuristics import MemoryBudgetExceeded, mini_bucket_pass
+from andor_mpe.search import SearchProblem
 
-from helpers import close, exact_subproblem_values
+from helpers import (close, exact_subproblem_values, random_chain,
+                     reference_dmb)
 
 
 def small_net(seed, n_lo=4, n_hi=9, d=2):
@@ -168,3 +170,70 @@ def test_dmb_exact_at_full_ibound(seed):
         if kind != "or":
             continue
         assert close(ev.h_or(X, asg), or_value(X, asg))
+
+
+@st.composite
+def dmb_cases(draw):
+    """A reduced network of one of four families and an i-bound of 1-4:
+    random nets of domain 2 or 3, grids with deterministic CPTs and
+    evidence (so log tables hold -inf), coding nets and chains."""
+    family = draw(st.sampled_from(["random", "grid", "coding", "chain"]))
+    seed = draw(st.integers(0, 10_000))
+    if family == "random":
+        n = draw(st.integers(4, 16))
+        net = am.gen_random(n, draw(st.integers(2, 3)), n - 2, 2, seed=seed)
+    elif family == "grid":
+        side = draw(st.integers(2, 5))
+        net, evidence = am.gen_grid(side, 0.5, draw(st.integers(1, side)),
+                                    seed=seed)
+        net = am.apply_evidence(net, evidence)
+    elif family == "coding":
+        net, _ = am.gen_coding(draw(st.integers(3, 6)), draw(st.integers(2, 3)),
+                               0.5, seed=seed)
+    else:
+        net = random_chain(draw(st.integers(2, 60)), seed=seed)
+    return net, draw(st.integers(1, 4))
+
+
+class Recorder:
+    """An evaluator that records every `h_or` call, before it is answered,
+    and then its answer's repr."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def h_or(self, var, asg):
+        self.calls.append((var, tuple(asg)))
+        h = self.inner.h_or(var, asg)
+        self.calls.append(repr(h))
+        return h
+
+
+def record_searches(evaluator_cls, net, tree, ibound, max_table_entries):
+    """Every `h_or` of an AOBF and an AOBB run with a fresh evaluator each,
+    then how the run ended: its status, mpe_log and expansions, or the
+    message of the MemoryBudgetExceeded that stopped it."""
+    factors = log_factors(net.factors)
+    out = []
+    for search in (am.aobf, am.aobb):
+        recorder = Recorder(evaluator_cls(factors, tree, ibound,
+                                          max_table_entries=max_table_entries))
+        try:
+            res = search(SearchProblem(net, tree, recorder, factors))
+            end = (res.status, repr(res.mpe_log), res.stats.expansions)
+        except MemoryBudgetExceeded as e:
+            end = str(e)
+        out.append(recorder.calls + [end])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dmb_cases(), budget=st.sampled_from([None, None, 4, 16, 64]))
+def test_compiled_dmb_replays_the_reference_sweep(case, budget):
+    """Every `h_or` made during AOBF and AOBB is bit-identical to the full
+    sweep of the reference, and a table budget runs out at the same call."""
+    net, ibound = case
+    tree = am.decompose(net)
+    new = record_searches(am.DmbEvaluator, net, tree, ibound, budget)
+    assert new == record_searches(reference_dmb, net, tree, ibound, budget)

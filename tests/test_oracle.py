@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import andor_mpe as am
+from andor_mpe import oracle
 
-from helpers import TWO_VAR_UAI, close
+from helpers import TWO_VAR_UAI, close, random_chain
 
 
 def test_enumeration_hand_checked_two_vars():
@@ -92,3 +94,24 @@ def test_bucket_elimination_handles_isolated_variable():
     res = am.bucket_elimination_mpe(net, elim)
     assert set(res.assignment) == set(net.variables)
     assert close(res.mpe_log, 5 * math.log(0.5))
+
+
+def test_oracles_stop_at_the_time_limit(monkeypatch):
+    """With a clock that ticks once per reading, BE reads it once per
+    bucket and enumeration before and after building the joint."""
+    net = random_chain(12)
+    elim = am.decompose(net).elim
+    expected = am.bucket_elimination_mpe(net, elim)
+    clock = itertools.count()
+    monkeypatch.setattr(oracle.time, "perf_counter", lambda: next(clock))
+    with pytest.raises(oracle.TimeLimitExceeded):
+        am.bucket_elimination_mpe(net, elim, time_limit=5)
+    assert next(clock) == 6  # the start, then buckets 1-5: four ran
+    assert am.bucket_elimination_mpe(net, elim, time_limit=14) == expected
+    for limit, readings in ((1, 2), (2, 3)):
+        clock = itertools.count()
+        with pytest.raises(oracle.TimeLimitExceeded):
+            am.enumerate_mpe(net, time_limit=limit)
+        assert next(clock) == readings
+    clock = itertools.count()
+    assert am.enumerate_mpe(net, time_limit=3) == am.enumerate_mpe(net)
