@@ -17,13 +17,6 @@ class MemoryBudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass
-class MessageRecord:
-    origin: int
-    dest: int | None  # None: message became a root constant
-    factor: LogFactor
-
-
 def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims,
                          max_table_entries=None):
     """The shape of one mini-bucket elimination sweep, from scopes alone.
@@ -96,32 +89,6 @@ def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims,
     return constants, steps
 
 
-def mini_bucket_pass(functions, elim_vars, pos, i_bound,
-                     max_table_entries=None):
-    """One mini-bucket elimination sweep over LogFactors, in the order
-    `mini_bucket_schedule` gives.
-
-    Returns (constant, records): the summed scalar output and the emitted
-    messages.
-    """
-    dims = None if max_table_entries is None else _domain_sizes(functions)
-    constants, steps = mini_bucket_schedule(
-        [f.scope for f in functions], elim_vars, pos, i_bound, dims,
-        max_table_entries)
-    constant = 0.0
-    for k in constants:
-        constant += functions[k].scalar()
-    funcs = list(functions)
-    records: list[MessageRecord] = []
-    for v, members, _, dest in steps:
-        msg = max_out(combine([funcs[k] for k in members]), v)
-        funcs.append(msg)
-        if dest is None:
-            constant += msg.scalar()
-        records.append(MessageRecord(v, dest, msg))
-    return constant, records
-
-
 @dataclass(eq=False)
 class MiniBucketTables:
     """Compiled SMB tables, with messages indexed per pseudo-tree node:
@@ -135,20 +102,32 @@ class MiniBucketTables:
 
 def compile_smb(factors: list[LogFactor], tree: PseudoTree, i_bound: int,
                 max_table_entries: int | None = None) -> MiniBucketTables:
-    """SMB tables over `tree` of a network's log factors (`log_factors`)."""
+    """SMB tables over `tree` of a network's log factors (`log_factors`):
+    each message of the `mini_bucket_schedule` sweep is indexed at its
+    origin and every ancestor below its destination."""
     elim = tree.elim
-    constant, records = mini_bucket_pass(
-        factors, list(elim.order), elim.position, i_bound, max_table_entries)
+    dims = None if max_table_entries is None else _domain_sizes(factors)
+    constants, steps = mini_bucket_schedule(
+        [f.scope for f in factors], elim.order, elim.position, i_bound, dims,
+        max_table_entries)
+    constant = 0.0
+    for k in constants:
+        constant += factors[k].scalar()
+    funcs = list(factors)
     exiting: dict[int, list[FlatTable]] = {v: [] for v in elim.order}
     entries = 0
-    for rec in records:
-        compiled = FlatTable(rec.factor)
+    for v, members, _, dest in steps:
+        msg = max_out(combine([funcs[k] for k in members]), v)
+        funcs.append(msg)
+        if dest is None:
+            constant += msg.scalar()
+        compiled = FlatTable(msg)
         entries += len(compiled.flat)
-        cur = rec.origin
-        while cur is not None and cur != rec.dest:
+        cur = v
+        while cur is not None and cur != dest:
             exiting[cur].append(compiled)
             cur = tree.parent[cur]
-        if rec.dest is not None and cur is None:
+        if dest is not None and cur is None:
             raise AssertionError("message destination is not an ancestor of its origin")
     return MiniBucketTables(root_bound=constant, exiting=exiting,
                             table_entries=entries)

@@ -336,8 +336,9 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
     """Depth-first branch-and-bound on the same AND/OR graph. At each OR node
     children are tried in decreasing (weight + h) order; a branch is pruned
     when its bound cannot strictly beat the relevant incumbent. Exactly
-    solved AND contexts are cached with their bound and reused, so a cached
-    context's children are not asked for their bounds again."""
+    solved AND contexts are cached with their bound and their children's
+    choices, and reused, so a cached context's children are not asked for
+    their bounds again. The solution is read off the cache at the end."""
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
     stats = SearchStats()
@@ -348,8 +349,9 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
     children = problem.children
     contexts = problem.contexts
     asg = [-1] * problem.size
+    # cache[X][context values] = (bound, value, children's chosen values)
     cache: dict[int, dict] = {v: {} for v in problem.variables}
-    incumbent = [NEG_INF, None]
+    incumbent = NEG_INF  # the root's best value so far, reported on timeout
     check = [0]
 
     def maybe_abort():
@@ -359,12 +361,14 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
                     and time.perf_counter() - t0 >= limits.time_limit_s):
                 raise _Abort("timeout")
             if limits.max_nodes is not None:
-                if sum(len(d) for d in cache.values()) > limits.max_nodes:
+                if stats.cache_entries > limits.max_nodes:
                     raise _Abort("memout")
 
     def solve_or(X, ub, track=False):
-        # Returns (value, assignment-of-subtree); value is exact when > ub,
-        # otherwise it is a valid underestimate <= ub.
+        # Returns (value, chosen value of X); value is exact when > ub,
+        # otherwise it is a valid underestimate <= ub. The choice is None
+        # when no value of X beats -inf.
+        nonlocal incumbent
         stats.expansions += 1
         maybe_abort()
         kids = children[X]
@@ -381,7 +385,7 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
             cands.append((w + hv, x, w, hv, hs, key, hit))
         cands.sort(key=lambda t: (-t[0], t[1]))
         best = NEG_INF
-        best_asg = None
+        best_x = None
         for bound, x, w, hv, hs, key, hit in cands:
             thr = best if best > ub else ub
             if bound <= thr:
@@ -389,31 +393,30 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
             asg[X] = x
             if not kids:
                 val = w
-                sub = {}
             else:
                 if hit is not None:
                     stats.cache_hits += 1
-                    _, vsub, sub = hit
+                    vsub = hit[1]
                 else:
                     r = solve_and(X, thr - w, hs)
                     if r is None:
                         continue
-                    vsub, sub = r
-                    cache[X][key] = (hv, vsub, sub)
+                    vsub, choices = r
+                    cache[X][key] = (hv, vsub, choices)
+                    stats.cache_entries += 1
                 val = w + vsub
             if val > best:
                 best = val
-                best_asg = dict(sub)
-                best_asg[X] = x
+                best_x = x
                 if track:
-                    incumbent[0] = best
-                    incumbent[1] = best_asg
+                    incumbent = best
         asg[X] = -1
-        return best, best_asg
+        return best, best_x
 
     def solve_and(X, ub, hs):
-        # Value of the decomposed subproblem below <X, asg[X]>, whose
-        # children have the bounds hs; None means provably <= ub.
+        # (value, children's chosen values) of the decomposed subproblem
+        # below <X, asg[X]>, whose children have the bounds hs; None means
+        # provably <= ub.
         stats.expansions += 1
         maybe_abort()
         kids = children[X]
@@ -421,30 +424,39 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
         if rest == NEG_INF:
             return None
         total = 0.0
-        merged = {}
+        choices = []
         for hv, c in zip(hs, kids):
             rest -= hv
-            vc, sub = solve_or(c, ub - total - rest)
+            vc, xc = solve_or(c, ub - total - rest)
             if vc <= ub - total - rest:
                 return None
             total += vc
-            merged.update(sub)
-        return total, merged
+            choices.append(xc)
+        return total, tuple(choices)
 
     status = "solved"
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 10000 + 8 * len(problem.variables)))
     try:
-        solve_or(tree.root, NEG_INF, track=True)
+        root_x = solve_or(tree.root, NEG_INF, track=True)[1]
     except _Abort as e:
         status = e.status
     finally:
         sys.setrecursionlimit(old_limit)
-    stats.cache_entries = sum(len(d) for d in cache.values())
     _assert_cache_bound(cache, problem.contexts, problem.domains)
     if status != "solved":
-        return SolveResult(status, incumbent[0], None, stats)
-    assignment = dict(incumbent[1]) if incumbent[1] is not None else {}
-    for v in problem.variables:
-        assignment.setdefault(v, 0)  # every assignment attains -inf
-    return SolveResult("solved", incumbent[0], assignment, stats)
+        return SolveResult(status, incumbent, None, stats)
+    if root_x is None:  # every assignment attains -inf
+        return SolveResult("solved", incumbent,
+                           dict.fromkeys(problem.variables, 0), stats)
+    # A context holds only its variable and that variable's ancestors, so
+    # the solution's path finds each entry under the key it was stored with.
+    assignment: dict[int, int] = {}
+    stack = [(tree.root, root_x)]
+    while stack:
+        X, x = stack.pop()
+        assignment[X] = asg[X] = x
+        if children[X]:
+            choices = cache[X][tuple(asg[u] for u in contexts[X])][2]
+            stack.extend(zip(children[X], choices))
+    return SolveResult("solved", incumbent, assignment, stats)

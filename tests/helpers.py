@@ -5,18 +5,20 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from andor_mpe.factor_ops import LogFactor, combine, max_out
-from andor_mpe.heuristics import MemoryBudgetExceeded, MessageRecord
+from andor_mpe.heuristics import MemoryBudgetExceeded
 from andor_mpe.model import (ROW_NORMALIZATION_TOL, BeliefNetwork, Factor,
                              UAIParseError, _is_integer)
-from andor_mpe.search import (NEG_INF, SearchLimits, SearchProblem, SearchStats,
-                              SolveResult, _AndNode, _assert_cache_bound,
-                              _OrNode)
+from andor_mpe.search import (_LIMIT_CHECK_STRIDE, NEG_INF, SearchLimits,
+                              SearchProblem, SearchStats, SolveResult, _Abort,
+                              _AndNode, _assert_cache_bound, _OrNode)
 from andor_mpe.structure import EliminationOrder, Graph, PseudoTree, _copy_graph
 
 TWO_VAR_UAI = """BAYES
@@ -296,6 +298,130 @@ def reference_aobf(problem: SearchProblem, limits: SearchLimits | None = None,
                        marked_weight_sum=weight_sum)
 
 
+def reference_aobb(problem: SearchProblem,
+                   limits: SearchLimits | None = None) -> SolveResult:
+    """Depth-first branch-and-bound on the same AND/OR graph. At each OR node
+    children are tried in decreasing (weight + h) order; a branch is pruned
+    when its bound cannot strictly beat the relevant incumbent. Exactly
+    solved AND contexts are cached with their bound and reused, so a cached
+    context's children are not asked for their bounds again.
+
+    A test-only reference for `aobb`: every cache entry and every
+    improvement keeps a copy of its subtree's assignment, where `aobb`
+    keeps only each context's choices and reads the solution off the cache
+    at the end."""
+    limits = limits or SearchLimits()
+    t0 = time.perf_counter()
+    stats = SearchStats()
+    if not problem.variables:
+        return SolveResult("solved", 0.0, {}, stats)
+    tree = problem.tree
+    domains = problem.domains
+    children = problem.children
+    contexts = problem.contexts
+    asg = [-1] * problem.size
+    cache: dict[int, dict] = {v: {} for v in problem.variables}
+    incumbent = [NEG_INF, None]
+    check = [0]
+
+    def maybe_abort():
+        check[0] += 1
+        if check[0] % _LIMIT_CHECK_STRIDE == 0 or check[0] == 1:
+            if (limits.time_limit_s is not None
+                    and time.perf_counter() - t0 >= limits.time_limit_s):
+                raise _Abort("timeout")
+            if limits.max_nodes is not None:
+                if sum(len(d) for d in cache.values()) > limits.max_nodes:
+                    raise _Abort("memout")
+
+    def solve_or(X, ub, track=False):
+        # Returns (value, assignment-of-subtree); value is exact when > ub,
+        # otherwise it is a valid underestimate <= ub.
+        stats.expansions += 1
+        maybe_abort()
+        kids = children[X]
+        cands = []
+        for x in range(domains[X]):
+            asg[X] = x
+            w = problem.weight(X, asg)
+            key = tuple(asg[u] for u in contexts[X]) if kids else None
+            hit = cache[X].get(key)
+            if hit is None:
+                hs, hv = problem.child_bounds(X, asg)
+            else:
+                hs, hv = None, hit[0]  # cached entries keep their AND bound
+            cands.append((w + hv, x, w, hv, hs, key, hit))
+        cands.sort(key=lambda t: (-t[0], t[1]))
+        best = NEG_INF
+        best_asg = None
+        for bound, x, w, hv, hs, key, hit in cands:
+            thr = best if best > ub else ub
+            if bound <= thr:
+                continue
+            asg[X] = x
+            if not kids:
+                val = w
+                sub = {}
+            else:
+                if hit is not None:
+                    stats.cache_hits += 1
+                    _, vsub, sub = hit
+                else:
+                    r = solve_and(X, thr - w, hs)
+                    if r is None:
+                        continue
+                    vsub, sub = r
+                    cache[X][key] = (hv, vsub, sub)
+                val = w + vsub
+            if val > best:
+                best = val
+                best_asg = dict(sub)
+                best_asg[X] = x
+                if track:
+                    incumbent[0] = best
+                    incumbent[1] = best_asg
+        asg[X] = -1
+        return best, best_asg
+
+    def solve_and(X, ub, hs):
+        # Value of the decomposed subproblem below <X, asg[X]>, whose
+        # children have the bounds hs; None means provably <= ub.
+        stats.expansions += 1
+        maybe_abort()
+        kids = children[X]
+        rest = sum(hs)
+        if rest == NEG_INF:
+            return None
+        total = 0.0
+        merged = {}
+        for hv, c in zip(hs, kids):
+            rest -= hv
+            vc, sub = solve_or(c, ub - total - rest)
+            if vc <= ub - total - rest:
+                return None
+            total += vc
+            merged.update(sub)
+        return total, merged
+
+    status = "solved"
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 10000 + 8 * len(problem.variables)))
+    try:
+        solve_or(tree.root, NEG_INF, track=True)
+    except _Abort as e:
+        status = e.status
+    finally:
+        sys.setrecursionlimit(old_limit)
+    stats.cache_entries = sum(len(d) for d in cache.values())
+    _assert_cache_bound(cache, problem.contexts, problem.domains)
+    if status != "solved":
+        return SolveResult(status, incumbent[0], None, stats)
+    assignment = dict(incumbent[1]) if incumbent[1] is not None else {}
+    for v in problem.variables:
+        assignment.setdefault(v, 0)  # every assignment attains -inf
+    return SolveResult("solved", incumbent[0], assignment, stats)
+
+
 def _tokens(text: str):
     for lineno, line in enumerate(text.splitlines(), start=1):
         for tok in line.split():
@@ -432,6 +558,13 @@ def reference_combine(factors: list[LogFactor]) -> LogFactor:
     return LogFactor(scope, out)
 
 
+@dataclass
+class MessageRecord:
+    origin: int
+    dest: int | None  # None: message became a root constant
+    factor: LogFactor
+
+
 def reference_mini_bucket_pass(functions, elim_vars, pos, i_bound,
                                max_table_entries=None):
     """One mini-bucket elimination sweep.
@@ -446,8 +579,8 @@ def reference_mini_bucket_pass(functions, elim_vars, pos, i_bound,
     Returns (constant, records): the summed scalar output and the emitted
     messages.
 
-    A test-only reference for `heuristics.mini_bucket_pass`, which takes
-    its schedule from `mini_bucket_schedule`.
+    A test-only reference for `heuristics.compile_smb`, which takes its
+    schedule from `mini_bucket_schedule`.
     """
     if i_bound < 1:
         raise ValueError("i-bound must be >= 1")

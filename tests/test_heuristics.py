@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import andor_mpe as am
-from andor_mpe.factor_ops import log_factors
-from andor_mpe.heuristics import MemoryBudgetExceeded, mini_bucket_pass
+from andor_mpe.factor_ops import FlatTable, log_factors
+from andor_mpe.heuristics import (MemoryBudgetExceeded, MiniBucketTables,
+                                  mini_bucket_schedule)
 from andor_mpe.search import SearchProblem
 
 from helpers import (close, exact_subproblem_values, random_chain,
-                     reference_dmb)
+                     reference_dmb, reference_mini_bucket_pass)
 
 
 def small_net(seed, n_lo=4, n_hi=9, d=2):
@@ -40,36 +41,41 @@ def walk_nodes(problem):
 
 
 def test_mini_bucket_messages_respect_ibound():
-    # A message's scope plus its eliminated variable is its mini-bucket's
-    # joint scope: at most i variables, unless one input is wider than i.
+    # A step's union is its mini-bucket's joint scope: at most i variables,
+    # unless one input is wider than i.
     checked = 0
     for seed in range(40):
         net = am.gen_random(14, 2, 12, 2, seed=seed)
-        functions = log_factors(net.factors)
-        widest = max(len(f.scope) for f in functions)
+        scopes = [f.scope for f in net.factors]
+        widest = max(len(scope) for scope in scopes)
         elim = am.decompose(net).elim
         pos = elim.position
         for i in range(1, 6):
-            _, records = mini_bucket_pass(functions, list(elim.order), pos, i)
-            for r in records:
-                assert len(r.factor.scope) + 1 <= max(i, widest)
-                assert r.dest is None or pos[r.dest] > pos[r.origin]
-            checked += len(records)
+            _, steps = mini_bucket_schedule(scopes, elim.order, pos, i, None)
+            for v, _, union, dest in steps:
+                assert len(union) <= max(i, widest)
+                assert dest is None or pos[dest] > pos[v]
+            checked += len(steps)
     assert checked > 1000
 
 
 def test_mini_bucket_rejects_bad_ibound():
     with pytest.raises(ValueError):
-        mini_bucket_pass([], [0], {0: 0}, 0)
+        mini_bucket_schedule([], [0], {0: 0}, 0, None)
+    net = small_net(0)
+    with pytest.raises(ValueError):
+        am.compile_smb(log_factors(net.factors), am.decompose(net), 0)
 
 
 def test_mini_bucket_single_bucket_is_exact_elimination():
     net = am.parse_uai(
         "BAYES\n1\n3\n1\n1 0\n\n3\n0.2 0.5 0.3\n")
     functions = log_factors(net.factors)
-    constant, records = mini_bucket_pass(functions, [0], {0: 0}, 1)
-    assert close(constant, math.log(0.5))
-    assert all(r.dest is None for r in records)
+    _, steps = mini_bucket_schedule([f.scope for f in functions], [0],
+                                    {0: 0}, 1, None)
+    assert all(dest is None for *_, dest in steps)
+    tables = am.compile_smb(functions, am.decompose(net), 1)
+    assert close(tables.root_bound, math.log(0.5))
 
 
 def test_memory_budget_raises():
@@ -237,3 +243,42 @@ def test_compiled_dmb_replays_the_reference_sweep(case, budget):
     tree = am.decompose(net)
     new = record_searches(am.DmbEvaluator, net, tree, ibound, budget)
     assert new == record_searches(reference_dmb, net, tree, ibound, budget)
+
+
+def _smb_tables(net, tree, ibound, budget, sweep):
+    """The root bound, each node's exiting tables as (scope, entries) and
+    the entry count of `sweep`'s SMB tables, or the message of the
+    MemoryBudgetExceeded that stopped it."""
+    try:
+        tables = sweep(log_factors(net.factors), tree, ibound, budget)
+    except MemoryBudgetExceeded as e:
+        return str(e)
+    exiting = {v: [(fn.scope, fn.flat) for fn in fns]
+               for v, fns in tables.exiting.items()}
+    return repr(tables.root_bound), exiting, tables.table_entries
+
+
+def _reference_smb(factors, tree, ibound, budget):
+    """SMB tables assembled from `reference_mini_bucket_pass` records."""
+    elim = tree.elim
+    constant, records = reference_mini_bucket_pass(
+        factors, list(elim.order), elim.position, ibound, budget)
+    exiting = {v: [] for v in elim.order}
+    for rec in records:
+        cur = rec.origin
+        while cur is not None and cur != rec.dest:
+            exiting[cur].append(FlatTable(rec.factor))
+            cur = tree.parent[cur]
+    entries = sum(rec.factor.table.size for rec in records)
+    return MiniBucketTables(constant, exiting, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=dmb_cases(), budget=st.sampled_from([None, None, 4, 16, 64]))
+def test_compile_smb_matches_the_reference_pass(case, budget):
+    """`compile_smb` builds bit-identical tables to those assembled from
+    the reference sweep's messages, and a table budget runs out alike."""
+    net, ibound = case
+    tree = am.decompose(net)
+    assert (_smb_tables(net, tree, ibound, budget, am.compile_smb)
+            == _smb_tables(net, tree, ibound, budget, _reference_smb))

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ import andor_mpe as am
 from andor_mpe.search import _AndNode, _OrNode, _tip_key
 
 from helpers import (TWO_VAR_UAI, close, exact_subproblem_values,
-                     random_chain, reference_aobf)
+                     random_chain, reference_aobb, reference_aobf)
 
 
 def test_aobf_hand_checked_two_vars():
@@ -225,6 +226,58 @@ def test_aobf_matches_full_retrace_reference(seed, ibound, family, heuristic):
     problem = am.build_problem(net, am.decompose(net, seed=seed), ibound,
                                heuristic=heuristic)
     assert _aobf_run(am.aobf, problem) == _aobf_run(reference_aobf, problem)
+
+
+def _aobb_run(search, problem, limits=None):
+    """Everything `search` reports."""
+    res = search(problem, limits)
+    return (res.status, repr(res.mpe_log), res.assignment, res.stats.expansions,
+            res.stats.cache_hits, res.stats.cache_entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), ibound=st.integers(1, 3),
+       family=st.sampled_from(["random", "grid", "chain"]),
+       heuristic=st.sampled_from(["smb", "dmb"]),
+       max_nodes=st.integers(0, 50))
+def test_aobb_matches_subtree_copy_reference(seed, ibound, family, heuristic,
+                                             max_nodes):
+    """Reading the solution off the cache changes nothing AOBB reports, and
+    a node limit ends it at the same point with the same incumbent."""
+    rng = random.Random(seed)
+    if family == "random":
+        n = rng.randint(10, 40)
+        net = am.gen_random(n, 2, n - 2, 2, seed=seed)
+    elif family == "grid":
+        net, evidence = am.gen_grid(rng.randint(3, 5), 0.5, 3, seed=seed)
+        net = am.apply_evidence(net, evidence)
+    else:
+        net = random_chain(rng.randint(2, 120), seed=seed)
+    problem = am.build_problem(net, am.decompose(net, seed=seed), ibound,
+                               heuristic=heuristic)
+    assert _aobb_run(am.aobb, problem) == _aobb_run(reference_aobb, problem)
+    limits = am.SearchLimits(max_nodes=max_nodes)
+    assert (_aobb_run(am.aobb, problem, limits)
+            == _aobb_run(reference_aobb, problem, limits))
+
+
+def _traced_peak(search, problem):
+    tracemalloc.start()
+    try:
+        assert search(problem).status == "solved"
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_aobb_memory_is_linear_on_a_deep_chain():
+    # Pseudo-tree height about 500. A copy of each subtree's assignment per
+    # cache entry makes AOBB's memory quadratic in the chain length, about
+    # eight times AOBF's here; the choices alone keep it linear.
+    net = random_chain(1000, seed=3)
+    problem = am.build_problem(net, am.decompose(net), 2)
+    bb, bf = _traced_peak(am.aobb, problem), _traced_peak(am.aobf, problem)
+    assert bb <= 2 * bf, (bb, bf)
 
 
 def test_aobf_solves_a_deep_chain_in_linear_time():
