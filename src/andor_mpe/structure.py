@@ -39,17 +39,6 @@ class PseudoTree:
     def preorder_index(self, v: int) -> int:
         return self._preorder_index[v]
 
-    def subtree(self, v: int) -> list[int]:
-        """All variables of the subtree rooted at v, v first."""
-        out = [v]
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for c in self.children[u]:
-                out.append(c)
-                stack.append(c)
-        return out
-
     def is_ancestor(self, a: int, v: int) -> bool:
         """True iff `a` is a proper ancestor of `v`."""
         p = self.parent[v]
@@ -92,6 +81,32 @@ def _unbucket(buckets: dict[int, list[int]], score: int, v: int) -> None:
         del buckets[score]
 
 
+def _rescore(work: Graph, v: int, fill_v: int,
+             score: dict[int, int]) -> dict[int, int]:
+    """The fill scores that eliminating v from `work` changes, as a dict of
+    new scores, from the fill edges F that v adds; `work` still holds v and
+    `fill_v` is |F|. Reads `work` and `score` and changes neither."""
+    nbrs = work[v]
+    # N(v) minus N(u) minus u: the fill-edge partners of each u in N(v)
+    partners = {u: nbrs - work[u] - {u} for u in nbrs} if fill_v else {}
+    lost = {}  # vertex w -> F-edges with both ends adjacent to w
+    for a, part in partners.items():
+        for b in part:
+            if a < b:
+                for w in work[a] & work[b]:
+                    lost[w] = lost.get(w, 0) + 1
+    lost.pop(v, None)
+    new = {w: score[w] - k for w, k in lost.items()}
+    for u in nbrs:
+        outside = work[u] - nbrs
+        outside.discard(v)
+        s = new.get(u, score[u]) - len(outside)
+        for a in partners.get(u, ()):
+            s += len(outside - work[a])
+        new[u] = s
+    return new
+
+
 def min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     """Greedy min-fill ordering; ties broken uniformly with the given seed.
 
@@ -102,11 +117,18 @@ def min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     Each step eliminates a vertex of least fill, the number of missing edges
     among its remaining neighbors. The candidates are all such vertices in
     ascending order, and `rng.choice` picks one only when there are several.
-    Fill scores are computed once, then updated locally (Kjaerulff 1990):
-    eliminating v changes the neighbor sets of N(v) only, and adds edges only
-    inside N(v), so only the scores of N(v) and of the neighbors of N(v),
-    taken after the fill edges are added, can change. Those are recomputed
-    after each step. Vertices sit in buckets keyed by score, each bucket a
+    Fill scores are counted by `_fill` once, at the start; after that each
+    step changes them by deltas (Kjaerulff 1990). Eliminating v with
+    neighbors N adds the fill edges F, the pairs of N not yet adjacent, so:
+
+    * a vertex w outside N and v keeps its neighbors and loses one point for
+      each edge of F whose two ends are both neighbors of w;
+    * a vertex u in N loses v and gains A = N - N(u) - {u} as neighbors.
+      With O = N(u) - N - {v}, its neighbors outside N, the new score is
+      fill(u) - |O| - (F-edges inside N(u)) + sum over a in A of |O - N(a)|.
+
+    One walk over the common neighbors of each edge of F counts both kinds
+    of lost points. Vertices sit in buckets keyed by score, each bucket a
     sorted list, so the candidate list is the same sorted list a full rescan
     of every vertex would give, and so is every seeded order.
     """
@@ -123,16 +145,15 @@ def min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     while work:
         candidates = buckets[min(buckets)]
         v = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
-        _unbucket(buckets, score.pop(v), v)
-        nbrs = _eliminate(work, v)
-        width = max(width, len(nbrs))
-        stale = nbrs.union(*(work[u] for u in nbrs))
-        for u in stale:
-            new = _fill(work, u)
-            if new != score[u]:
+        fill_v = score.pop(v)
+        _unbucket(buckets, fill_v, v)
+        new = _rescore(work, v, fill_v, score)
+        width = max(width, len(_eliminate(work, v)))
+        for u, s in new.items():
+            if s != score[u]:
                 _unbucket(buckets, score[u], u)
-                insort(buckets.setdefault(new, []), u)
-                score[u] = new
+                insort(buckets.setdefault(s, []), u)
+                score[u] = s
         order.append(v)
     return EliminationOrder(order=tuple(order), induced_width=width)
 

@@ -8,6 +8,7 @@ import random
 import sys
 import time
 import warnings
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,8 @@ from andor_mpe.model import (ROW_NORMALIZATION_TOL, BeliefNetwork, Factor,
 from andor_mpe.search import (_LIMIT_CHECK_STRIDE, NEG_INF, SearchLimits,
                               SearchProblem, SearchStats, SolveResult, _Abort,
                               _AndNode, _assert_cache_bound, _OrNode)
-from andor_mpe.structure import EliminationOrder, Graph, PseudoTree, _copy_graph
+from andor_mpe.structure import (EliminationOrder, Graph, PseudoTree,
+                                 _copy_graph, _eliminate, _fill, _unbucket)
 
 TWO_VAR_UAI = """BAYES
 2
@@ -53,6 +55,18 @@ def random_chain(n: int, seed: int = 0) -> BeliefNetwork:
                               table=rng.dirichlet([1.0, 1.0], size=2)))
     return BeliefNetwork(variables=list(range(n)),
                          domains={v: 2 for v in range(n)}, factors=factors)
+
+
+def subtree(tree: PseudoTree, v: int) -> list[int]:
+    """All variables of the subtree of `tree` rooted at v, v first."""
+    out = [v]
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for c in tree.children[u]:
+            out.append(c)
+            stack.append(c)
+    return out
 
 
 def reference_min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
@@ -95,6 +109,44 @@ def reference_min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
         for u in nbrs:
             work[u].discard(v)
         del work[v]
+        order.append(v)
+    return EliminationOrder(order=tuple(order), induced_width=width)
+
+
+def reference_ring_min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
+    """Greedy min-fill ordering; ties broken uniformly with the given seed.
+
+    A test-only reference for `min_fill_order`, which updates each score by
+    a delta from the step's fill edges. This one recounts with `_fill` the
+    score of every vertex of the two-hop ring of each eliminated vertex:
+    eliminating v changes the neighbor sets of N(v) only, and adds edges only
+    inside N(v), so only the scores of N(v) and of the neighbors of N(v),
+    taken after the fill edges are added, can change. Vertices sit in buckets
+    keyed by score, each bucket a sorted list, as in `min_fill_order`.
+    """
+    if not g:
+        raise ValueError("empty graph")
+    rng = random.Random(seed)
+    work = _copy_graph(g)
+    score = {v: _fill(work, v) for v in work}
+    buckets: dict[int, list[int]] = {}
+    for v in sorted(work):
+        buckets.setdefault(score[v], []).append(v)
+    order = []
+    width = 0
+    while work:
+        candidates = buckets[min(buckets)]
+        v = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
+        _unbucket(buckets, score.pop(v), v)
+        nbrs = _eliminate(work, v)
+        width = max(width, len(nbrs))
+        stale = nbrs.union(*(work[u] for u in nbrs))
+        for u in stale:
+            new = _fill(work, u)
+            if new != score[u]:
+                _unbucket(buckets, score[u], u)
+                insort(buckets.setdefault(new, []), u)
+                score[u] = new
         order.append(v)
     return EliminationOrder(order=tuple(order), induced_width=width)
 
@@ -646,7 +698,7 @@ class reference_dmb:
         bucket_of = [min(f.scope, key=lambda v: pos[v]) if f.scope else None
                      for f in factors]
         for v in tree.parent:
-            sub = tree.subtree(v)
+            sub = subtree(tree, v)
             sub.sort(key=lambda u: pos[u])
             self._subtree_vars[v] = sub
             ss = set(sub)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import andor_mpe as am
 from andor_mpe.structure import context_cache_bound
 
-from helpers import TWO_VAR_UAI, reference_min_fill_order
+from helpers import (TWO_VAR_UAI, reference_min_fill_order,
+                     reference_ring_min_fill_order, subtree)
 
 
 def random_graph(seed, n=None, p=0.3):
@@ -91,6 +92,52 @@ def test_min_fill_matches_reference_on_structured_graphs(g):
     for seed in (0, 1, 101):
         assert am.min_fill_order(g, seed) == reference_min_fill_order(g, seed), seed
 
+
+def _pool_graph(family, seed):
+    """The evidence-reduced primal graph of one benchmark-sized net."""
+    if family == "grid":
+        net, evidence = am.gen_grid(10, 0.5, 5, seed=seed)
+    elif family == "coding":
+        net, evidence = am.gen_coding(30, 4, 0.3, seed=seed)[0], {}
+    else:
+        net, evidence = am.gen_random(60, 2, 54, 2, seed=seed), {}
+    return am.primal_graph(am.apply_evidence(net, evidence))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=st.one_of(
+           st.builds(random_graph, st.integers(0, 10_000), st.integers(1, 60),
+                     st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9])),
+           st.builds(_pool_graph, st.sampled_from(["grid", "coding", "random"]),
+                     st.integers(0, 10_000))),
+       order_seed=st.integers(0, 5))
+def test_min_fill_matches_ring_reference_on_large_graphs(graph, order_seed):
+    """Graphs too large for the full rescan of `reference_min_fill_order`."""
+    elim = am.min_fill_order(graph, order_seed)
+    ref = reference_ring_min_fill_order(graph, order_seed)
+    assert elim.order == ref.order
+    assert elim.induced_width == ref.induced_width
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(_pool_graph("grid", 3), id="grid10"),
+    pytest.param(_pool_graph("coding", 3), id="coding30"),
+    pytest.param(chain_graph(2000, 3), id="chain2000"),
+])
+def test_min_fill_counts_each_fill_once(g, monkeypatch):
+    """`_fill` scores each vertex once, at the start; every later score
+    comes from a delta."""
+    calls = 0
+    fill = am.structure._fill
+
+    def counted(work, v):
+        nonlocal calls
+        calls += 1
+        return fill(work, v)
+
+    monkeypatch.setattr(am.structure, "_fill", counted)
+    am.min_fill_order(g, seed=1)
+    assert calls == len(g)
 
 def test_decompose_matches_reference_order(monkeypatch):
     nets = [am.gen_random(30, 2, 27, 2, seed=3), am.gen_grid(6, 0.5, 0, seed=1)[0],
@@ -214,7 +261,7 @@ def test_contexts_are_ancestors_adjacent_to_the_subtree(seed, n, p, shuffled):
     tree = am.build_pseudo_tree(g, elim)
     assert am.validate_pseudo_tree(tree, g)
     for v in g:
-        below = set(tree.subtree(v))
+        below = set(subtree(tree, v))
         path = []
         u = tree.parent[v]
         while u is not None:
@@ -255,7 +302,7 @@ def test_subtree_and_ancestors():
     elim = am.EliminationOrder(order=(0, 1, 2, 3), induced_width=1)
     tree = am.build_pseudo_tree(g, elim)
     assert tree.root == 3
-    assert set(tree.subtree(2)) == {0, 1, 2}
-    assert tree.subtree(2)[0] == 2
+    assert set(subtree(tree, 2)) == {0, 1, 2}
+    assert subtree(tree, 2)[0] == 2
     assert [tree.parent[v] for v in (0, 1, 2, 3)] == [1, 2, 3, None]
     assert tree.is_ancestor(3, 0) and not tree.is_ancestor(0, 3)
