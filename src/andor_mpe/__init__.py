@@ -7,7 +7,8 @@ from .structure import (EliminationOrder, PseudoTree, build_pseudo_tree,
 from .factor_ops import log_factors
 from .heuristics import (DmbEvaluator, MiniBucketTables, SmbEvaluator,
                          compile_smb)
-from .search import SearchLimits, SearchProblem, SolveResult, aobb, aobf
+from .limits import Budget, LimitExceeded
+from .search import SearchProblem, SolveResult, aobb, aobf
 from .oracle import OracleResult, bucket_elimination_mpe, enumerate_mpe
 from .generators import GenSpec, gen_coding, gen_grid, gen_random
 from .cli import build_problem, decompose
@@ -18,7 +19,7 @@ __all__ = [
     "EliminationOrder", "PseudoTree", "min_fill_order", "build_pseudo_tree",
     "validate_pseudo_tree", "decompose", "build_problem",
     "log_factors", "MiniBucketTables", "SmbEvaluator", "DmbEvaluator", "compile_smb",
-    "SearchProblem", "SearchLimits", "SolveResult", "aobf", "aobb",
+    "Budget", "LimitExceeded", "SearchProblem", "SolveResult", "aobf", "aobb",
     "OracleResult", "enumerate_mpe", "bucket_elimination_mpe",
     "GenSpec", "gen_random", "gen_grid", "gen_coding",
 ]

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from . import generators, model, oracle, structure
 from .factor_ops import log_factors
-from .heuristics import DmbEvaluator, MemoryBudgetExceeded, SmbEvaluator, compile_smb
-from .search import SearchLimits, SearchProblem, aobb, aobf
+from .heuristics import DmbEvaluator, SmbEvaluator, compile_smb
+from .limits import UNLIMITED, Budget, LimitExceeded
+from .search import SearchProblem, aobb, aobf
 
 CSV_COLUMNS = ["instance", "n", "e", "w_star", "h", "algorithm", "heuristic",
                "ibound", "seed", "status", "mpe_log10", "mpe_prob", "nodes",
@@ -63,31 +64,34 @@ class RunRecord:
                 "-" if redact_time else num(self.time_s)]
 
 
-def decompose(net: model.BeliefNetwork, seed: int = 0) -> structure.PseudoTree:
+def decompose(net: model.BeliefNetwork, seed: int = 0,
+              budget: Budget = UNLIMITED) -> structure.PseudoTree:
     """Min-fill order (ties broken with `seed`) and bucket tree of the primal
-    graph; the tree carries the order and its induced width as `tree.elim`
-    and the cache contexts as `tree.contexts`."""
+    graph, both built under `budget`, which is checked once more at the end;
+    the tree carries the order and its induced width as `tree.elim` and the
+    cache contexts as `tree.contexts`."""
     g = model.primal_graph(net)
-    return structure.build_pseudo_tree(g, structure.min_fill_order(g, seed=seed))
+    order = structure.min_fill_order(g, seed=seed, budget=budget)
+    tree = structure.build_pseudo_tree(g, order, budget=budget)
+    budget.check()
+    return tree
 
 
 def build_problem(net: model.BeliefNetwork, tree: structure.PseudoTree,
                   ibound: int, *, heuristic: str = "smb",
-                  max_table_entries: int | None = None) -> SearchProblem:
+                  budget: Budget = UNLIMITED) -> SearchProblem:
     """The static ("smb") or dynamic ("dmb") mini-bucket heuristic over
     `tree`, ready for `aobf`/`aobb`; both share one `log_factors` list.
-    Raises MemoryBudgetExceeded when the tables outgrow `max_table_entries`."""
+    The problem is built, and the DMB sweeps later, under `budget`."""
     factors = log_factors(net.factors)
     if heuristic == "smb":
-        tables = compile_smb(factors, tree, ibound,
-                             max_table_entries=max_table_entries)
-        evaluator = SmbEvaluator(tables)
+        evaluator = SmbEvaluator(compile_smb(factors, tree, ibound,
+                                             budget=budget))
     elif heuristic == "dmb":
-        evaluator = DmbEvaluator(factors, tree, ibound,
-                                 max_table_entries=max_table_entries)
+        evaluator = DmbEvaluator(factors, tree, ibound, budget=budget)
     else:
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    return SearchProblem(net, tree, evaluator, factors)
+    return SearchProblem(net, tree, evaluator, factors, budget)
 
 
 def check_limits(time_limit, memory_limit_mb) -> None:
@@ -109,58 +113,46 @@ def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
     """Full solving pipeline; returns (RunRecord, full assignment or None).
 
     Wall time covers ordering, heuristic compilation and search; parsing and
-    evidence reduction are excluded. The time that ordering and compilation
-    leave of `time_limit` bounds the search or oracle, which then ends as
-    "timeout". Raises ValueError on a bad limit (`check_limits`).
+    evidence reduction are excluded. One `Budget` made when the timing
+    starts holds every stage: `time_limit` seconds, and from
+    `memory_limit_mb` a cap on search nodes and one on table entries. The
+    stage that finds it spent ends the run as "timeout" or "memout". Raises
+    ValueError on a bad limit (`check_limits`).
     """
     check_limits(time_limit, memory_limit_mb)
     n_orig = len(net.variables) + len(net.evidence)
     reduced = model.apply_evidence(net, evidence)
     e_count = len(reduced.evidence)
-    max_nodes = None
-    max_entries = None
+    max_nodes = max_entries = None
     if memory_limit_mb is not None:
         max_nodes = int(memory_limit_mb * 2**20 // _BYTES_PER_NODE)
         max_entries = int(memory_limit_mb * 2**20 // 8)
     t0 = time.perf_counter()
+    budget = Budget(time_limit, max_nodes, max_entries)
     status = "solved"
     stats_nodes = stats_hits = stats_entries = 0
     mpe_log = None
     assignment = None
     w_star = h = 0
-    if time_limit is not None and time_limit <= 0:
-        status = "timeout"
-    elif not reduced.variables:
-        mpe_log = 0.0
-        assignment = {}
-    else:
-        tree = decompose(reduced, seed=seed)
-        w_star, h = tree.elim.induced_width, tree.height
-
-        def remaining():
-            if time_limit is None:
-                return None
-            return max(0.0, time_limit - (time.perf_counter() - t0))
-
-        try:
+    try:
+        if not reduced.variables:
+            mpe_log, assignment = 0.0, {}
+        else:
+            tree = decompose(reduced, seed=seed, budget=budget)
+            w_star, h = tree.elim.induced_width, tree.height
             if algorithm == "brute":
-                res = oracle.enumerate_mpe(reduced, time_limit=remaining())
+                res = oracle.enumerate_mpe(reduced, budget=budget)
                 mpe_log, assignment = res.mpe_log, res.assignment
             elif algorithm == "be":
-                res = oracle.bucket_elimination_mpe(
-                    reduced, tree.elim, max_table_entries=max_entries,
-                    time_limit=remaining())
+                res = oracle.bucket_elimination_mpe(reduced, tree.elim, budget)
                 mpe_log, assignment = res.mpe_log, res.assignment
             else:
                 problem = build_problem(reduced, tree, ibound,
-                                        heuristic=heuristic,
-                                        max_table_entries=max_entries)
-                limits = SearchLimits(time_limit_s=remaining(),
-                                      max_nodes=max_nodes)
+                                        heuristic=heuristic, budget=budget)
                 if algorithm == "aobf":
-                    res = aobf(problem, limits=limits)
+                    res = aobf(problem, budget)
                 elif algorithm == "aobb":
-                    res = aobb(problem, limits=limits)
+                    res = aobb(problem, budget)
                 else:
                     raise ValueError(f"unknown algorithm {algorithm!r}")
                 status = res.status
@@ -168,10 +160,8 @@ def run_instance(net: model.BeliefNetwork, evidence: dict[int, int], *,
                 stats_nodes = res.stats.expansions
                 stats_hits = res.stats.cache_hits
                 stats_entries = res.stats.cache_entries
-        except (MemoryBudgetExceeded, MemoryError):
-            status = "memout"
-        except oracle.TimeLimitExceeded:
-            status = "timeout"
+    except LimitExceeded as e:
+        status = e.status
     elapsed = time.perf_counter() - t0
     mpe_log10 = mpe_prob = None
     if status == "solved":

@@ -10,15 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factor_ops import FlatTable, LogFactor, combine, max_out
+from .limits import UNLIMITED, Budget
 from .structure import PseudoTree
 
 
-class MemoryBudgetExceeded(RuntimeError):
-    pass
-
-
-def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims,
-                         max_table_entries=None):
+def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims, budget=None):
     """The shape of one mini-bucket elimination sweep, from scopes alone.
 
     `scopes` are the ordered scopes of the input functions; every scope
@@ -34,9 +30,9 @@ def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims,
     (their variables in order of first appearance), eliminates `var` and
     emits function len(scopes) + j over `union` without `var`. It joins the
     bucket of `dest`, its earliest variable, or is a constant when `dest`
-    is None. Raises MemoryBudgetExceeded when the messages, sized by
-    `dims` (variable -> domain size, read only under a budget), exceed
-    `max_table_entries` entries.
+    is None. Under a `budget`, each message scheduled is followed by
+    `budget.check` of the entries of all messages so far, sized by `dims`
+    (variable -> domain size, read only then).
     """
     if i_bound < 1:
         raise ValueError("i-bound must be >= 1")
@@ -73,12 +69,9 @@ def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims,
             union = tuple(dict.fromkeys(
                 [u for k in members for u in scopes[k]]))
             scope = tuple([u for u in union if u != v])
-            if max_table_entries is not None:
+            if budget is not None:
                 entries += math.prod([dims[u] for u in scope])
-                if entries > max_table_entries:
-                    raise MemoryBudgetExceeded(
-                        f"mini-bucket tables exceed {max_table_entries} "
-                        f"entries")
+                budget.check(entries=entries)
             if scope:
                 dest = min(scope, key=key)
                 bucket[dest].append((-len(scope), scope, len(scopes)))
@@ -101,15 +94,15 @@ class MiniBucketTables:
 
 
 def compile_smb(factors: list[LogFactor], tree: PseudoTree, i_bound: int,
-                max_table_entries: int | None = None) -> MiniBucketTables:
+                budget: Budget = UNLIMITED) -> MiniBucketTables:
     """SMB tables over `tree` of a network's log factors (`log_factors`):
-    each message of the `mini_bucket_schedule` sweep is indexed at its
-    origin and every ancestor below its destination."""
+    each message of the `mini_bucket_schedule` sweep, scheduled under
+    `budget` and built after a `budget.check()`, is indexed at its origin
+    and every ancestor below its destination."""
     elim = tree.elim
-    dims = None if max_table_entries is None else _domain_sizes(factors)
     constants, steps = mini_bucket_schedule(
-        [f.scope for f in factors], elim.order, elim.position, i_bound, dims,
-        max_table_entries)
+        [f.scope for f in factors], elim.order, elim.position, i_bound,
+        _domain_sizes(factors), budget)
     constant = 0.0
     for k in constants:
         constant += factors[k].scalar()
@@ -117,6 +110,7 @@ def compile_smb(factors: list[LogFactor], tree: PseudoTree, i_bound: int,
     exiting: dict[int, list[FlatTable]] = {v: [] for v in elim.order}
     entries = 0
     for v, members, _, dest in steps:
+        budget.check()
         msg = max_out(combine([funcs[k] for k in members]), v)
         funcs.append(msg)
         if dest is None:
@@ -158,19 +152,22 @@ class DmbEvaluator:
     compiled once, on its first `h_or`. Every step that no cut factor feeds
     runs then; a call indexes each cut factor's table with the context and
     replays only the other steps, with the same additions in the same
-    order, so it returns the same bits as the full sweep.
+    order, so it returns the same bits as the full sweep. `budget.check()`
+    runs before each factor is filed and, in a compile, before each step;
+    the schedule runs under `budget` too.
     """
 
     def __init__(self, factors: list[LogFactor], tree: PseudoTree,
-                 i_bound: int, max_table_entries: int | None = None):
+                 i_bound: int, budget: Budget = UNLIMITED):
         self.i_bound = i_bound
-        self.max_table_entries = max_table_entries
+        self._budget = budget
         self._tree = tree
         self._pos = pos = tree.elim.position
         self._factors = factors
         self._dims = _domain_sizes(factors)
         self._by_bucket: dict[int, list[int]] = {v: [] for v in tree.parent}
         for k, f in enumerate(factors):
+            budget.check()
             if f.scope:
                 self._by_bucket[min(f.scope, key=pos.__getitem__)].append(k)
         # dfs_order is a preorder: a subtree is the slice of it that starts
@@ -229,7 +226,7 @@ class DmbEvaluator:
         fixed = [tuple(u for u in f.scope if u not in inside) for f in factors]
         scopes = [tuple(u for u in f.scope if u in inside) for f in factors]
         constants, steps = mini_bucket_schedule(
-            scopes, sub, pos, self.i_bound, dims, self.max_table_entries)
+            scopes, sub, pos, self.i_bound, dims, self._budget)
         # every message is consumed inside the subtree; only constants remain
         assert all(dest is None or dest in inside for *_, dest in steps)
         n = len(factors)
@@ -241,6 +238,7 @@ class DmbEvaluator:
         slot: dict[int, int] = {}  # dynamic message -> its slot
         cuts, dynamic = [], []
         for j, (v, members, union, dest) in enumerate(steps):
+            self._budget.check()
             if all(value[k] is not None for k in members):
                 msg = max_out(combine([value[k] for k in members]), v)
                 value.append(msg)

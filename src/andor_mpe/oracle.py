@@ -3,32 +3,16 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .factor_ops import LogFactor, combine, log_factors, max_out
+from .limits import UNLIMITED, Budget
 from .model import BeliefNetwork
 from .structure import EliminationOrder
 
 DEFAULT_ENUMERATION_CAP = 1 << 22
-
-
-class TimeLimitExceeded(RuntimeError):
-    pass
-
-
-def _deadline(time_limit: float | None):
-    """A check that raises TimeLimitExceeded once `time_limit` seconds
-    (None: no limit) have passed since this call."""
-    t0 = time.perf_counter()
-
-    def check():
-        if time_limit is not None and time.perf_counter() - t0 >= time_limit:
-            raise TimeLimitExceeded(f"time limit of {time_limit} s reached")
-
-    return check
 
 
 @dataclass
@@ -38,24 +22,22 @@ class OracleResult:
 
 
 def enumerate_mpe(net: BeliefNetwork, cap: int = DEFAULT_ENUMERATION_CAP,
-                  time_limit: float | None = None) -> OracleResult:
+                  budget: Budget = UNLIMITED) -> OracleResult:
     """Full enumeration of the joint; ties go to the lexicographically
-    smallest assignment (variables in declaration order). Raises
-    TimeLimitExceeded when `time_limit` seconds have passed before or after
-    the joint is built."""
-    check_time = _deadline(time_limit)
+    smallest assignment (variables in declaration order). Calls
+    `budget.check()` before and after the joint is built."""
     variables = net.variables
     if not variables:
         return OracleResult(0.0, {})
     shape = tuple(net.domains[v] for v in variables)
-    size = math.prod(shape)
-    if size > cap:
-        raise ValueError(f"joint size {size} exceeds enumeration cap {cap}")
-    check_time()
+    if math.prod(shape) > cap:  # its size may have too many digits to print
+        raise ValueError(f"the joint of {len(variables)} variables exceeds "
+                         f"the enumeration cap of {cap} entries")
+    budget.check()
     joint = np.zeros(shape)
     for f in log_factors(net.factors):
         joint += f.aligned(tuple(variables))
-    check_time()
+    budget.check()
     flat = int(joint.argmax())
     idx = np.unravel_index(flat, shape)
     assignment = {v: int(x) for v, x in zip(variables, idx)}
@@ -63,12 +45,10 @@ def enumerate_mpe(net: BeliefNetwork, cap: int = DEFAULT_ENUMERATION_CAP,
 
 
 def bucket_elimination_mpe(net: BeliefNetwork, elim: EliminationOrder,
-                           max_table_entries: int | None = None,
-                           time_limit: float | None = None) -> OracleResult:
+                           budget: Budget = UNLIMITED) -> OracleResult:
     """Exact max-product variable elimination with argmax back-substitution.
-    Raises TimeLimitExceeded when `time_limit` seconds have passed before a
-    bucket is processed."""
-    check_time = _deadline(time_limit)
+    Before each bucket is processed, calls `budget.check` with the entries
+    of the bucket tables so far, this one's included."""
     if set(elim.order) != set(net.variables):
         raise ValueError("elimination order does not cover the network variables")
     if not net.variables:
@@ -84,15 +64,14 @@ def bucket_elimination_mpe(net: BeliefNetwork, elim: EliminationOrder,
     entries = 0
     back = []  # (var, remaining scope, argmax table)
     for v in elim.order:
-        check_time()
         funcs = buckets[v]
+        union = {u for f in funcs for u in f.scope}
+        entries += math.prod(net.domains[u] for u in union) if funcs else 0
+        budget.check(entries=entries)
         if not funcs:
             back.append((v, (), np.array(0)))
             continue
         combined = combine(funcs)
-        entries += combined.table.size
-        if max_table_entries is not None and entries > max_table_entries:
-            raise MemoryError(f"bucket tables exceed {max_table_entries} entries")
         msg = max_out(combined, v)
         arg = combined.table.argmax(axis=combined.scope.index(v))  # first index wins
         back.append((v, msg.scope, arg))

@@ -5,21 +5,14 @@ from __future__ import annotations
 
 import heapq
 import sys
-import time
 from dataclasses import dataclass
 
 from .factor_ops import FlatTable
+from .limits import UNLIMITED, Budget, LimitExceeded
 from .model import BeliefNetwork
 from .structure import PseudoTree, context_cache_bound
 
 NEG_INF = float("-inf")
-_LIMIT_CHECK_STRIDE = 256
-
-
-@dataclass
-class SearchLimits:
-    time_limit_s: float | None = None
-    max_nodes: int | None = None  # memory proxy: explicated nodes / cache entries
 
 
 @dataclass
@@ -44,7 +37,7 @@ class SearchProblem:
     `factors` are `net`'s `log_factors`. Every CPT is statically assigned
     to its deepest scope variable in the pseudo-tree (a scalar factor to
     the root), so each CPT contributes to exactly one arc weight along any
-    root-to-leaf path.
+    root-to-leaf path. `budget.check()` runs before each is assigned.
 
     The search asks the model only for `weight(X, asg)` and for the
     evaluator's one query, `h_or(X, asg)`, an upper bound on the OR node of
@@ -52,10 +45,13 @@ class SearchProblem:
     pseudo-tree ancestor of X, and X itself for `weight`. The bound on the
     subproblem below the AND node <X, asg[X]> is the sum of its children's
     `h_or` (`child_bounds`); each search asks for those once per AND node
-    and keeps them until it expands the node.
+    and keeps them until it expands the node. `h_or` may raise
+    LimitExceeded (`DmbEvaluator` under its budget); a search then ends
+    with its status, as when its own budget runs out.
     """
 
-    def __init__(self, net: BeliefNetwork, tree: PseudoTree, evaluator, factors):
+    def __init__(self, net: BeliefNetwork, tree: PseudoTree, evaluator, factors,
+                 budget: Budget = UNLIMITED):
         self.tree = tree
         self.contexts = tree.contexts
         self.evaluator = evaluator
@@ -66,6 +62,7 @@ class SearchProblem:
         self.preorder = {v: tree.preorder_index(v) for v in self.variables}
         self.weight_fns: dict[int, list[FlatTable]] = {v: [] for v in self.variables}
         for f in factors:
+            budget.check()
             wvar = max(f.scope, key=lambda u: tree.depth[u], default=tree.root)
             self.weight_fns[wvar].append(FlatTable(f))
 
@@ -141,7 +138,7 @@ def _assert_cache_bound(cache, contexts, domains):
                 f"context bound {bound}")
 
 
-def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
+def aobf(problem: SearchProblem, budget: Budget = UNLIMITED,
          on_revise=None) -> SolveResult:
     """Best-first AND/OR graph search (AO*): repeatedly expand the tip of the
     unsolved marked partial solution tree that `_tip_key` puts first, and
@@ -152,9 +149,10 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
     `revise` switches the mark of an OR node in the tree, the old marked
     subtree leaves the tree at once and the new one is traced in after the
     sweep; no other part of the tree is traced again. A key whose last tip
-    left the tree stays in the heap and is skipped when popped."""
-    limits = limits or SearchLimits()
-    t0 = time.perf_counter()
+    left the tree stays in the heap and is skipped when popped.
+
+    `budget.check` counts every node created, before the first expansion
+    and after each one."""
     stats = SearchStats()
     if not problem.variables:
         return SolveResult("solved", 0.0, {}, stats)
@@ -166,7 +164,7 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
     # those; the other entries may be stale.
     asg = [-1] * problem.size
     cache: dict[int, dict] = {v: {} for v in problem.variables}
-    root = _OrNode(tree.root, 0, evaluator.h_or(tree.root, asg), None)
+    root = _OrNode(tree.root, 0, float("inf"), None)  # h_or set below
     nodes_created = 1
     tips = []  # heap of tip keys, each at most once
     tip_at = {}  # key in tips -> the last tip attached with it
@@ -260,52 +258,51 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
         return switched
 
     status = "solved"
-    attach([root])
-    while not root.solved:
-        if (limits.time_limit_s is not None
-                and time.perf_counter() - t0 >= limits.time_limit_s):
-            status = "timeout"
-            break
-        if limits.max_nodes is not None and nodes_created > limits.max_nodes:
-            status = "memout"
-            break
-        tip = tip_at.pop(heapq.heappop(tips))
-        while not tip.in_tree:  # it left the tree after it was attached
+    try:
+        root.v = evaluator.h_or(tree.root, asg)
+        attach([root])
+        budget.check(nodes=nodes_created)
+        while not root.solved:
             tip = tip_at.pop(heapq.heappop(tips))
-        stats.expansions += 1
-        if isinstance(tip, _OrNode):
-            X = tip.var
-            ctx = problem.contexts[X]
-            for x in range(problem.domains[X]):
-                asg[X] = x
-                w = problem.weight(X, asg)
-                key = tuple(asg[u] for u in ctx)
-                child = cache[X].get(key)
-                if child is None:
-                    hs, v0 = problem.child_bounds(X, asg)
-                    child = _AndNode(X, x, tip.depth + 1, v0, w, hs)
-                    cache[X][key] = child
+            while not tip.in_tree:  # it left the tree after it was attached
+                tip = tip_at.pop(heapq.heappop(tips))
+            stats.expansions += 1
+            if isinstance(tip, _OrNode):
+                X = tip.var
+                ctx = problem.contexts[X]
+                for x in range(problem.domains[X]):
+                    asg[X] = x
+                    w = problem.weight(X, asg)
+                    key = tuple(asg[u] for u in ctx)
+                    child = cache[X].get(key)
+                    if child is None:
+                        hs, v0 = problem.child_bounds(X, asg)
+                        child = _AndNode(X, x, tip.depth + 1, v0, w, hs)
+                        cache[X][key] = child
+                        nodes_created += 1
+                    else:
+                        stats.cache_hits += 1
+                    tip.children.append(child)
+                    child.parents.append(tip)
+            else:
+                for cvar, h in zip(problem.children[tip.var], tip.hs):
+                    tip.children.append(_OrNode(cvar, tip.depth + 1, h, tip))
                     nodes_created += 1
-                else:
-                    stats.cache_hits += 1
-                tip.children.append(child)
-                child.parents.append(tip)
-        else:
-            for cvar, h in zip(problem.children[tip.var], tip.hs):
-                tip.children.append(_OrNode(cvar, tip.depth + 1, h, tip))
-                nodes_created += 1
-            tip.hs = None
-        stack = [m.marked for m in revise(tip) if m.in_tree]
-        if isinstance(tip, _AndNode):
-            # Its value is already the sum of the new bounds, so revise
-            # moved no mark and it is still in the tree.
-            stack.extend(tip.children)
-        attach(stack)
+                tip.hs = None
+            budget.check(nodes=nodes_created)
+            stack = [m.marked for m in revise(tip) if m.in_tree]
+            if isinstance(tip, _AndNode):
+                # Its value is already the sum of the new bounds, so revise
+                # moved no mark and it is still in the tree.
+                stack.extend(tip.children)
+            attach(stack)
+    except LimitExceeded as e:
+        status = e.status
 
     stats.cache_entries = sum(len(d) for d in cache.values())
-    _assert_cache_bound(cache, problem.contexts, problem.domains)
     if status != "solved":
         return SolveResult(status, root.v, None, stats)
+    _assert_cache_bound(cache, problem.contexts, problem.domains)
     # Read the solution off the marked arcs.
     assignment: dict[int, int] = {}
     weight_sum = 0.0
@@ -327,20 +324,16 @@ def aobf(problem: SearchProblem, limits: SearchLimits | None = None,
                        marked_weight_sum=weight_sum)
 
 
-class _Abort(Exception):
-    def __init__(self, status):
-        self.status = status
-
-
-def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveResult:
+def aobb(problem: SearchProblem, budget: Budget = UNLIMITED) -> SolveResult:
     """Depth-first branch-and-bound on the same AND/OR graph. At each OR node
     children are tried in decreasing (weight + h) order; a branch is pruned
     when its bound cannot strictly beat the relevant incumbent. Exactly
     solved AND contexts are cached with their bound and their children's
     choices, and reused, so a cached context's children are not asked for
-    their bounds again. The solution is read off the cache at the end."""
-    limits = limits or SearchLimits()
-    t0 = time.perf_counter()
+    their bounds again. The solution is read off the cache at the end.
+
+    `budget.check` runs at each OR node expansion, and counts the cache
+    entries each time one is stored."""
     stats = SearchStats()
     if not problem.variables:
         return SolveResult("solved", 0.0, {}, stats)
@@ -352,17 +345,6 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
     # cache[X][context values] = (bound, value, children's chosen values)
     cache: dict[int, dict] = {v: {} for v in problem.variables}
     incumbent = NEG_INF  # the root's best value so far, reported on timeout
-    check = [0]
-
-    def maybe_abort():
-        check[0] += 1
-        if check[0] % _LIMIT_CHECK_STRIDE == 0 or check[0] == 1:
-            if (limits.time_limit_s is not None
-                    and time.perf_counter() - t0 >= limits.time_limit_s):
-                raise _Abort("timeout")
-            if limits.max_nodes is not None:
-                if stats.cache_entries > limits.max_nodes:
-                    raise _Abort("memout")
 
     def solve_or(X, ub, track=False):
         # Returns (value, chosen value of X); value is exact when > ub,
@@ -370,7 +352,7 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
         # when no value of X beats -inf.
         nonlocal incumbent
         stats.expansions += 1
-        maybe_abort()
+        budget.check()
         kids = children[X]
         cands = []
         for x in range(domains[X]):
@@ -404,6 +386,7 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
                     vsub, choices = r
                     cache[X][key] = (hv, vsub, choices)
                     stats.cache_entries += 1
+                    budget.check(nodes=stats.cache_entries)
                 val = w + vsub
             if val > best:
                 best = val
@@ -418,7 +401,6 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
         # below <X, asg[X]>, whose children have the bounds hs; None means
         # provably <= ub.
         stats.expansions += 1
-        maybe_abort()
         kids = children[X]
         rest = sum(hs)
         if rest == NEG_INF:
@@ -439,13 +421,13 @@ def aobb(problem: SearchProblem, limits: SearchLimits | None = None) -> SolveRes
     sys.setrecursionlimit(max(old_limit, 10000 + 8 * len(problem.variables)))
     try:
         root_x = solve_or(tree.root, NEG_INF, track=True)[1]
-    except _Abort as e:
+    except LimitExceeded as e:
         status = e.status
     finally:
         sys.setrecursionlimit(old_limit)
-    _assert_cache_bound(cache, problem.contexts, problem.domains)
     if status != "solved":
         return SolveResult(status, incumbent, None, stats)
+    _assert_cache_bound(cache, problem.contexts, problem.domains)
     if root_x is None:  # every assignment attains -inf
         return SolveResult("solved", incumbent,
                            dict.fromkeys(problem.variables, 0), stats)

@@ -7,6 +7,8 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
+from .limits import UNLIMITED, Budget
+
 Graph = dict[int, set[int]]
 
 
@@ -107,12 +109,13 @@ def _rescore(work: Graph, v: int, fill_v: int,
     return new
 
 
-def min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
+def min_fill_order(g: Graph, seed: int = 0,
+                   budget: Budget = UNLIMITED) -> EliminationOrder:
     """Greedy min-fill ordering; ties broken uniformly with the given seed.
 
     `g` is a simple undirected graph: symmetric neighbor sets, no loops.
     Returns the order (first eliminated first) and the induced width measured
-    while eliminating.
+    while eliminating. Each step starts with `budget.check()`.
 
     Each step eliminates a vertex of least fill, the number of missing edges
     among its remaining neighbors. The candidates are all such vertices in
@@ -143,6 +146,7 @@ def min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     order = []
     width = 0
     while work:
+        budget.check()
         candidates = buckets[min(buckets)]
         v = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
         fill_v = score.pop(v)
@@ -158,9 +162,10 @@ def min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     return EliminationOrder(order=tuple(order), induced_width=width)
 
 
-def build_pseudo_tree(g: Graph, elim: EliminationOrder) -> PseudoTree:
+def build_pseudo_tree(g: Graph, elim: EliminationOrder,
+                      budget: Budget = UNLIMITED) -> PseudoTree:
     """Bucket tree and cache contexts from one elimination of `g` along
-    `elim.order`.
+    `elim.order`, with `budget.check()` before each step.
 
     When v is eliminated, its remaining neighbors N(v) are the vertices
     eliminated after it that share an induced-graph edge with it. v's parent
@@ -179,6 +184,7 @@ def build_pseudo_tree(g: Graph, elim: EliminationOrder) -> PseudoTree:
     work = _copy_graph(g)
     later: dict[int, set[int]] = {}
     for v in order:
+        budget.check()
         later[v] = _eliminate(work, v)
     root = order[-1]
     parent: dict[int, int | None] = {root: None}

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-import time
 import warnings
 from bisect import insort
 from dataclasses import dataclass
@@ -14,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from andor_mpe.factor_ops import LogFactor, combine, max_out
-from andor_mpe.heuristics import MemoryBudgetExceeded
+from andor_mpe.limits import UNLIMITED, Budget, LimitExceeded
 from andor_mpe.model import (ROW_NORMALIZATION_TOL, BeliefNetwork, Factor,
                              UAIParseError, _is_integer)
-from andor_mpe.search import (_LIMIT_CHECK_STRIDE, NEG_INF, SearchLimits,
-                              SearchProblem, SearchStats, SolveResult, _Abort,
+from andor_mpe.search import (NEG_INF, SearchProblem, SearchStats, SolveResult,
                               _AndNode, _assert_cache_bound, _OrNode)
 from andor_mpe.structure import (EliminationOrder, Graph, PseudoTree,
                                  _copy_graph, _eliminate, _fill, _unbucket)
@@ -69,7 +67,8 @@ def subtree(tree: PseudoTree, v: int) -> list[int]:
     return out
 
 
-def reference_min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
+def reference_min_fill_order(g: Graph, seed: int = 0,
+                             budget: Budget = UNLIMITED) -> EliminationOrder:
     """Greedy min-fill ordering; ties broken uniformly with the given seed.
 
     Returns the order (first eliminated first) and the induced width measured
@@ -85,6 +84,7 @@ def reference_min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     order = []
     width = 0
     while work:
+        budget.check()
         best_cost = None
         candidates = []
         for v in sorted(work):
@@ -113,7 +113,8 @@ def reference_min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     return EliminationOrder(order=tuple(order), induced_width=width)
 
 
-def reference_ring_min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
+def reference_ring_min_fill_order(g: Graph, seed: int = 0,
+                                  budget: Budget = UNLIMITED) -> EliminationOrder:
     """Greedy min-fill ordering; ties broken uniformly with the given seed.
 
     A test-only reference for `min_fill_order`, which updates each score by
@@ -135,6 +136,7 @@ def reference_ring_min_fill_order(g: Graph, seed: int = 0) -> EliminationOrder:
     order = []
     width = 0
     while work:
+        budget.check()
         candidates = buckets[min(buckets)]
         v = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
         _unbucket(buckets, score.pop(v), v)
@@ -203,7 +205,7 @@ def select_tip(tips, preorder: dict[int, int]):
     return max(tips, key=lambda nd: (nd.depth, -preorder[nd.var]))
 
 
-def reference_aobf(problem: SearchProblem, limits: SearchLimits | None = None,
+def reference_aobf(problem: SearchProblem, budget: Budget = UNLIMITED,
                    on_revise=None) -> SolveResult:
     """Best-first AND/OR graph search (AO*): repeatedly trace the marked
     partial solution tree, expand the tip `select_tip` picks, and revise
@@ -213,8 +215,6 @@ def reference_aobf(problem: SearchProblem, limits: SearchLimits | None = None,
     A test-only reference for `aobf`: it traces the whole unsolved marked
     tree on every iteration and picks a tip with `select_tip`, where `aobf`
     keeps its tips between iterations."""
-    limits = limits or SearchLimits()
-    t0 = time.perf_counter()
     stats = SearchStats()
     if not problem.variables:
         return SolveResult("solved", 0.0, {}, stats)
@@ -273,12 +273,10 @@ def reference_aobf(problem: SearchProblem, limits: SearchLimits | None = None,
 
     status = "solved"
     while not root.solved:
-        if (limits.time_limit_s is not None
-                and time.perf_counter() - t0 >= limits.time_limit_s):
-            status = "timeout"
-            break
-        if limits.max_nodes is not None and nodes_created > limits.max_nodes:
-            status = "memout"
+        try:
+            budget.check(nodes=nodes_created)
+        except LimitExceeded as e:
+            status = e.status
             break
         # Trace the unsolved part of the marked partial solution tree. This
         # sets asg on the tip's path, all that weight and h_or read.
@@ -351,7 +349,7 @@ def reference_aobf(problem: SearchProblem, limits: SearchLimits | None = None,
 
 
 def reference_aobb(problem: SearchProblem,
-                   limits: SearchLimits | None = None) -> SolveResult:
+                   budget: Budget = UNLIMITED) -> SolveResult:
     """Depth-first branch-and-bound on the same AND/OR graph. At each OR node
     children are tried in decreasing (weight + h) order; a branch is pruned
     when its bound cannot strictly beat the relevant incumbent. Exactly
@@ -362,8 +360,6 @@ def reference_aobb(problem: SearchProblem,
     improvement keeps a copy of its subtree's assignment, where `aobb`
     keeps only each context's choices and reads the solution off the cache
     at the end."""
-    limits = limits or SearchLimits()
-    t0 = time.perf_counter()
     stats = SearchStats()
     if not problem.variables:
         return SolveResult("solved", 0.0, {}, stats)
@@ -374,17 +370,9 @@ def reference_aobb(problem: SearchProblem,
     asg = [-1] * problem.size
     cache: dict[int, dict] = {v: {} for v in problem.variables}
     incumbent = [NEG_INF, None]
-    check = [0]
 
     def maybe_abort():
-        check[0] += 1
-        if check[0] % _LIMIT_CHECK_STRIDE == 0 or check[0] == 1:
-            if (limits.time_limit_s is not None
-                    and time.perf_counter() - t0 >= limits.time_limit_s):
-                raise _Abort("timeout")
-            if limits.max_nodes is not None:
-                if sum(len(d) for d in cache.values()) > limits.max_nodes:
-                    raise _Abort("memout")
+        budget.check(nodes=sum(len(d) for d in cache.values()))
 
     def solve_or(X, ub, track=False):
         # Returns (value, assignment-of-subtree); value is exact when > ub,
@@ -424,6 +412,7 @@ def reference_aobb(problem: SearchProblem,
                         continue
                     vsub, sub = r
                     cache[X][key] = (hv, vsub, sub)
+                    maybe_abort()
                 val = w + vsub
             if val > best:
                 best = val
@@ -460,7 +449,7 @@ def reference_aobb(problem: SearchProblem,
     sys.setrecursionlimit(max(old_limit, 10000 + 8 * len(problem.variables)))
     try:
         solve_or(tree.root, NEG_INF, track=True)
-    except _Abort as e:
+    except LimitExceeded as e:
         status = e.status
     finally:
         sys.setrecursionlimit(old_limit)
@@ -618,7 +607,7 @@ class MessageRecord:
 
 
 def reference_mini_bucket_pass(functions, elim_vars, pos, i_bound,
-                               max_table_entries=None):
+                               budget=None):
     """One mini-bucket elimination sweep.
 
     `functions` is a list of LogFactors; every scope variable must be in
@@ -664,9 +653,8 @@ def reference_mini_bucket_pass(functions, elim_vars, pos, i_bound,
         for _, mini in minis:
             msg = max_out(combine(mini), v)
             entries += msg.table.size
-            if max_table_entries is not None and entries > max_table_entries:
-                raise MemoryBudgetExceeded(
-                    f"mini-bucket tables exceed {max_table_entries} entries")
+            if budget is not None:
+                budget.check(entries=entries)
             if not msg.scope:
                 constant += msg.scalar()
                 records.append(MessageRecord(v, None, msg))
@@ -686,9 +674,9 @@ class reference_dmb:
     steps."""
 
     def __init__(self, factors: list[LogFactor], tree: PseudoTree,
-                 i_bound: int, max_table_entries: int | None = None):
+                 i_bound: int, budget: Budget = UNLIMITED):
         self.i_bound = i_bound
-        self.max_table_entries = max_table_entries
+        self.budget = budget
         pos = tree.elim.position
         self._pos = pos
         self._logfactors = factors
@@ -714,7 +702,7 @@ class reference_dmb:
             functions.append(lf.restrict(fixed) if fixed else lf)
         constant, records = reference_mini_bucket_pass(
             functions, self._subtree_vars[var], self._pos, self.i_bound,
-            self.max_table_entries)
+            self.budget)
         # every message is consumed inside the subtree; only constants remain
         assert all(r.dest is None or r.dest in ss for r in records)
         return constant

@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import andor_mpe as am
+from andor_mpe import limits
 from andor_mpe.cli import (CSV_COLUMNS, EXIT_INPUT_ERROR, EXIT_SOLVED,
                            EXIT_TIMEOUT, RunRecord, main, run_instance)
 
@@ -81,6 +82,28 @@ def test_oracles_hold_the_time_limit(algorithm, n):
                                       time_limit=1e-6)
     assert record.status == "timeout"
     assert record.mpe_log10 is None and assignment is None
+
+
+def test_an_expired_budget_ends_ordering_and_heuristic_build(monkeypatch):
+    """`decompose`, `build_problem` and the first DMB `h_or` each check the
+    budget, and a search ends with the status of the evaluator's limit."""
+    net = am.gen_random(12, 2, 10, 2, seed=3)
+    tree = am.decompose(net)
+    expired = am.Budget(time_limit=0)
+    with pytest.raises(am.LimitExceeded, match="timeout"):
+        am.decompose(net, budget=expired)
+    with pytest.raises(am.LimitExceeded, match="timeout"):
+        am.build_problem(net, tree, 2, heuristic="smb", budget=expired)
+    now = [0.0]
+    monkeypatch.setattr(limits.time, "perf_counter", lambda: now[0])
+    problem = am.build_problem(net, tree, 2, heuristic="dmb",
+                               budget=am.Budget(time_limit=1))
+    now[0] = 1.0
+    with pytest.raises(am.LimitExceeded, match="timeout"):
+        problem.evaluator.h_or(tree.root, [-1] * 12)
+    for search in (am.aobf, am.aobb):
+        res = search(problem)
+        assert res.status == "timeout" and res.assignment is None
 
 
 def test_run_instance_memout_status():

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 import andor_mpe as am
 from andor_mpe.factor_ops import FlatTable, log_factors
-from andor_mpe.heuristics import (MemoryBudgetExceeded, MiniBucketTables,
-                                  mini_bucket_schedule)
+from andor_mpe.heuristics import MiniBucketTables, mini_bucket_schedule
 from andor_mpe.search import SearchProblem
 
 from helpers import (close, exact_subproblem_values, random_chain,
@@ -81,8 +80,9 @@ def test_mini_bucket_single_bucket_is_exact_elimination():
 def test_memory_budget_raises():
     net = am.gen_random(12, 2, 10, 2, seed=3)
     tree = am.decompose(net)
-    with pytest.raises(MemoryBudgetExceeded):
-        am.compile_smb(log_factors(net.factors), tree, 6, max_table_entries=2)
+    with pytest.raises(am.LimitExceeded, match="memout"):
+        am.compile_smb(log_factors(net.factors), tree, 6,
+                       budget=am.Budget(max_entries=2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -216,21 +216,18 @@ class Recorder:
         return h
 
 
-def record_searches(evaluator_cls, net, tree, ibound, max_table_entries):
+def record_searches(evaluator_cls, net, tree, ibound, max_entries):
     """Every `h_or` of an AOBF and an AOBB run with a fresh evaluator each,
-    then how the run ended: its status, mpe_log and expansions, or the
-    message of the MemoryBudgetExceeded that stopped it."""
+    under a budget of `max_entries` table entries, then how the run ended:
+    its status, mpe_log and expansions."""
     factors = log_factors(net.factors)
     out = []
     for search in (am.aobf, am.aobb):
-        recorder = Recorder(evaluator_cls(factors, tree, ibound,
-                                          max_table_entries=max_table_entries))
-        try:
-            res = search(SearchProblem(net, tree, recorder, factors))
-            end = (res.status, repr(res.mpe_log), res.stats.expansions)
-        except MemoryBudgetExceeded as e:
-            end = str(e)
-        out.append(recorder.calls + [end])
+        recorder = Recorder(evaluator_cls(
+            factors, tree, ibound, budget=am.Budget(max_entries=max_entries)))
+        res = search(SearchProblem(net, tree, recorder, factors))
+        out.append(recorder.calls
+                   + [(res.status, repr(res.mpe_log), res.stats.expansions)])
     return out
 
 
@@ -247,12 +244,13 @@ def test_compiled_dmb_replays_the_reference_sweep(case, budget):
 
 def _smb_tables(net, tree, ibound, budget, sweep):
     """The root bound, each node's exiting tables as (scope, entries) and
-    the entry count of `sweep`'s SMB tables, or the message of the
-    MemoryBudgetExceeded that stopped it."""
+    the entry count of `sweep`'s SMB tables, or the status of the
+    LimitExceeded that stopped it under a budget of `budget` entries."""
     try:
-        tables = sweep(log_factors(net.factors), tree, ibound, budget)
-    except MemoryBudgetExceeded as e:
-        return str(e)
+        tables = sweep(log_factors(net.factors), tree, ibound,
+                       am.Budget(max_entries=budget))
+    except am.LimitExceeded as e:
+        return e.status
     exiting = {v: [(fn.scope, fn.flat) for fn in fns]
                for v, fns in tables.exiting.items()}
     return repr(tables.root_bound), exiting, tables.table_entries

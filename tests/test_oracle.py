@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import andor_mpe as am
-from andor_mpe import oracle
+from andor_mpe import limits
 
 from helpers import TWO_VAR_UAI, close, random_chain
 
@@ -28,6 +28,15 @@ def test_enumeration_cap():
     net = am.gen_random(25, 2, 0, 1, seed=0)
     with pytest.raises(ValueError, match="enumeration cap"):
         am.enumerate_mpe(net, cap=1 << 10)
+
+
+def test_enumeration_cap_on_a_joint_too_large_to_print():
+    # 2**15000 has more decimal digits than Python converts by default
+    n = 15_000
+    net = am.BeliefNetwork(variables=list(range(n)), domains=dict.fromkeys(range(n), 2),
+                           factors=[])
+    with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+        am.enumerate_mpe(net)
 
 
 def test_enumeration_empty_network():
@@ -53,8 +62,8 @@ def test_bucket_elimination_rejects_partial_order():
 def test_bucket_elimination_memory_cap():
     net = am.gen_random(14, 2, 12, 2, seed=2)
     elim = am.min_fill_order(am.primal_graph(net))
-    with pytest.raises(MemoryError):
-        am.bucket_elimination_mpe(net, elim, max_table_entries=2)
+    with pytest.raises(am.LimitExceeded, match="memout"):
+        am.bucket_elimination_mpe(net, elim, am.Budget(max_entries=2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -97,21 +106,21 @@ def test_bucket_elimination_handles_isolated_variable():
 
 
 def test_oracles_stop_at_the_time_limit(monkeypatch):
-    """With a clock that ticks once per reading, BE reads it once per
-    bucket and enumeration before and after building the joint."""
+    """With the budget's clock ticking once per reading, BE reads it once
+    per bucket and enumeration before and after building the joint."""
     net = random_chain(12)
     elim = am.decompose(net).elim
     expected = am.bucket_elimination_mpe(net, elim)
     clock = itertools.count()
-    monkeypatch.setattr(oracle.time, "perf_counter", lambda: next(clock))
-    with pytest.raises(oracle.TimeLimitExceeded):
-        am.bucket_elimination_mpe(net, elim, time_limit=5)
+    monkeypatch.setattr(limits.time, "perf_counter", lambda: next(clock))
+    with pytest.raises(am.LimitExceeded, match="timeout"):
+        am.bucket_elimination_mpe(net, elim, am.Budget(time_limit=5))
     assert next(clock) == 6  # the start, then buckets 1-5: four ran
-    assert am.bucket_elimination_mpe(net, elim, time_limit=14) == expected
+    assert am.bucket_elimination_mpe(net, elim, am.Budget(time_limit=14)) == expected
     for limit, readings in ((1, 2), (2, 3)):
         clock = itertools.count()
-        with pytest.raises(oracle.TimeLimitExceeded):
-            am.enumerate_mpe(net, time_limit=limit)
+        with pytest.raises(am.LimitExceeded, match="timeout"):
+            am.enumerate_mpe(net, budget=am.Budget(time_limit=limit))
         assert next(clock) == readings
     clock = itertools.count()
-    assert am.enumerate_mpe(net, time_limit=3) == am.enumerate_mpe(net)
+    assert am.enumerate_mpe(net, budget=am.Budget(time_limit=3)) == am.enumerate_mpe(net)

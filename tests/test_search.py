@@ -228,9 +228,9 @@ def test_aobf_matches_full_retrace_reference(seed, ibound, family, heuristic):
     assert _aobf_run(am.aobf, problem) == _aobf_run(reference_aobf, problem)
 
 
-def _aobb_run(search, problem, limits=None):
+def _aobb_run(search, problem, budget=am.Budget()):
     """Everything `search` reports."""
-    res = search(problem, limits)
+    res = search(problem, budget)
     return (res.status, repr(res.mpe_log), res.assignment, res.stats.expansions,
             res.stats.cache_hits, res.stats.cache_entries)
 
@@ -256,9 +256,9 @@ def test_aobb_matches_subtree_copy_reference(seed, ibound, family, heuristic,
     problem = am.build_problem(net, am.decompose(net, seed=seed), ibound,
                                heuristic=heuristic)
     assert _aobb_run(am.aobb, problem) == _aobb_run(reference_aobb, problem)
-    limits = am.SearchLimits(max_nodes=max_nodes)
-    assert (_aobb_run(am.aobb, problem, limits)
-            == _aobb_run(reference_aobb, problem, limits))
+    budget = am.Budget(max_nodes=max_nodes)
+    assert (_aobb_run(am.aobb, problem, budget)
+            == _aobb_run(reference_aobb, problem, budget))
 
 
 def _traced_peak(search, problem):
@@ -314,9 +314,9 @@ def test_empty_problem_is_trivially_solved():
 def test_time_limit_zero_times_out():
     net = am.gen_random(10, 2, 8, 2, seed=1)
     problem = am.build_problem(net, am.decompose(net), 1)
-    lim = am.SearchLimits(time_limit_s=0.0)
-    assert am.aobf(problem, limits=lim).status == "timeout"
-    assert am.aobb(problem, limits=lim).status == "timeout"
+    budget = am.Budget(time_limit=0.0)
+    assert am.aobf(problem, budget).status == "timeout"
+    assert am.aobb(problem, budget).status == "timeout"
 
 
 def test_aobb_restores_recursion_limit():
@@ -327,8 +327,7 @@ def test_aobb_restores_recursion_limit():
     try:
         assert am.aobb(problem).status == "solved"
         assert sys.getrecursionlimit() == 1000
-        lim = am.SearchLimits(time_limit_s=0)
-        assert am.aobb(problem, limits=lim).status == "timeout"
+        assert am.aobb(problem, am.Budget(time_limit=0)).status == "timeout"
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
@@ -337,11 +336,23 @@ def test_aobb_restores_recursion_limit():
 def test_node_limit_memouts():
     net = am.gen_random(40, 2, 36, 2, seed=1)
     problem = am.build_problem(net, am.decompose(net), 1)
-    res = am.aobf(problem, limits=am.SearchLimits(max_nodes=5))
-    assert res.status == "memout"
-    assert res.assignment is None
-    res = am.aobb(problem, limits=am.SearchLimits(max_nodes=0))
-    assert res.status == "memout"
+    for search in (am.aobf, am.aobb):
+        res = search(problem, am.Budget(max_nodes=5))
+        assert res.status == "memout"
+        assert res.assignment is None
+
+
+def test_node_limit_holds_the_same_for_both_searches():
+    """Neither search ends `solved` holding more nodes than the cap: each
+    checks it where it adds nodes, AOBB at every cache entry it stores."""
+    for seed in range(100):
+        n = 10 + seed % 11
+        net = am.gen_random(n, 2, n - 2, 2, seed=seed)
+        problem = am.build_problem(net, am.decompose(net), 2)
+        for search in (am.aobf, am.aobb):
+            res = search(problem, am.Budget(max_nodes=5))
+            assert res.status == "memout" or res.stats.cache_entries <= 5, \
+                (seed, search.__name__, res.stats.cache_entries)
 
 
 def test_aobb_incumbent_reported_on_timeout():
@@ -349,7 +360,7 @@ def test_aobb_incumbent_reported_on_timeout():
     # must be attainable or -inf
     net = am.gen_random(20, 2, 16, 2, seed=4)
     problem = am.build_problem(net, am.decompose(net), 2)
-    res = am.aobb(problem, limits=am.SearchLimits(time_limit_s=1e-3))
+    res = am.aobb(problem, am.Budget(time_limit=1e-3))
     assert res.status in ("solved", "timeout")
     if res.status == "timeout" and res.mpe_log != -math.inf:
         exact = am.aobb(problem).mpe_log
