@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -26,12 +24,6 @@ class LogFactor:
                       for v in union_scope)
         return arr.reshape(shape)
 
-    def restrict(self, assignment: dict[int, int]) -> "LogFactor":
-        idx = tuple(assignment[v] if v in assignment else slice(None)
-                    for v in self.scope)
-        scope = tuple(v for v in self.scope if v not in assignment)
-        return LogFactor(scope, np.asarray(self.table[idx]))
-
     def scalar(self) -> float:
         if self.scope:
             raise ValueError("factor is not a scalar")
@@ -46,21 +38,33 @@ def log_factors(factors) -> list[LogFactor]:
                 for f in factors]
 
 
-class FlatTable:
-    """A LogFactor as a flat list with strides: `fn(asg)` is its entry at
-    `asg` (a list indexed by variable, or a dict), found in O(scope)."""
+def radix_pairs(scope, sizes) -> tuple[tuple[int, int], ...]:
+    """Each variable of `scope` with its stride in the row-major numbering
+    of the values of `scope`, whose sizes are `sizes`; the last has 1."""
+    pairs, stride = [], 1
+    for k in range(len(scope) - 1, -1, -1):
+        pairs.append((scope[k], stride))
+        stride *= sizes[k]
+    pairs.reverse()
+    return tuple(pairs)
 
-    __slots__ = ("scope", "strides", "flat")
+
+class FlatTable:
+    """A LogFactor as a flat list with strides: `pairs` holds each scope
+    variable with its stride (`radix_pairs`), in scope order, and `fn(asg)`
+    is the entry at `asg` (a list indexed by variable, or a dict), found in
+    O(scope)."""
+
+    __slots__ = ("scope", "pairs", "flat")
 
     def __init__(self, f: LogFactor):
-        shape = f.table.shape
         self.scope = f.scope
-        self.strides = tuple(math.prod(shape[k + 1:]) for k in range(len(shape)))
+        self.pairs = radix_pairs(f.scope, f.table.shape)
         self.flat = f.table.ravel().tolist()
 
     def __call__(self, asg) -> float:
         i = 0
-        for v, s in zip(self.scope, self.strides):
+        for v, s in self.pairs:
             i += s * asg[v]
         return self.flat[i]
 

@@ -128,15 +128,17 @@ def compile_smb(factors: list[LogFactor], tree: PseudoTree, i_bound: int,
 
 
 class SmbEvaluator:
-    """Static heuristic: table lookups over the pre-compiled messages."""
+    """Static heuristic: table lookups over the pre-compiled messages.
+    `h_or(X, asg)` is the sum of `exiting[X]`'s entries, taken in order
+    from 0.0; `SearchProblem` reads those tables itself."""
 
     def __init__(self, tables: MiniBucketTables):
         self.tables = tables
-        self._exiting = tables.exiting
+        self.exiting = tables.exiting
 
     def h_or(self, var: int, asg) -> float:
         total = 0.0
-        for fn in self._exiting[var]:
+        for fn in self.exiting[var]:
             total += fn(asg)
         return total
 
@@ -153,8 +155,9 @@ class DmbEvaluator:
     runs then; a call indexes each cut factor's table with the context and
     replays only the other steps, with the same additions in the same
     order, so it returns the same bits as the full sweep. `budget.check()`
-    runs before each factor is filed and, in a compile, before each step;
-    the schedule runs under `budget` too.
+    runs before each factor is filed and, in a compile, after the subtree
+    is sorted, after its factors are split into fixed and inside parts and
+    before each step; the schedule runs under `budget` too.
     """
 
     def __init__(self, factors: list[LogFactor], tree: PseudoTree,
@@ -221,10 +224,12 @@ class DmbEvaluator:
         start = tree.preorder_index(var)
         sub = sorted(tree.dfs_order[start:start + self._size[var]],
                      key=pos.__getitem__)
+        self._budget.check()
         inside = set(sub)
         factors = [self._factors[k] for u in sub for k in self._by_bucket[u]]
         fixed = [tuple(u for u in f.scope if u not in inside) for f in factors]
         scopes = [tuple(u for u in f.scope if u in inside) for f in factors]
+        self._budget.check()
         constants, steps = mini_bucket_schedule(
             scopes, sub, pos, self.i_bound, dims, self._budget)
         # every message is consumed inside the subtree; only constants remain

@@ -7,7 +7,7 @@ import heapq
 import sys
 from dataclasses import dataclass
 
-from .factor_ops import FlatTable
+from .factor_ops import radix_pairs
 from .limits import UNLIMITED, Budget, LimitExceeded
 from .model import BeliefNetwork
 from .structure import PseudoTree, context_cache_bound
@@ -39,15 +39,24 @@ class SearchProblem:
     the root), so each CPT contributes to exactly one arc weight along any
     root-to-leaf path. `budget.check()` runs before each is assigned.
 
-    The search asks the model only for `weight(X, asg)` and for the
-    evaluator's one query, `h_or(X, asg)`, an upper bound on the OR node of
-    X. `asg` is a list indexed by variable or a dict; it must assign every
-    pseudo-tree ancestor of X, and X itself for `weight`. The bound on the
-    subproblem below the AND node <X, asg[X]> is the sum of its children's
-    `h_or` (`child_bounds`); each search asks for those once per AND node
-    and keeps them until it expands the node. `h_or` may raise
-    LimitExceeded (`DmbEvaluator` under its budget); a search then ends
-    with its status, as when its own budget runs out.
+    Both searches expand an OR node of X with one call, `weight(X, asg,
+    cache)`, which gives every value of X its arc weight, its integer
+    context key, its cache entry and, on a miss, its children's bounds.
+    The only other model query is AOBF's `evaluator.h_or(root, asg)`.
+
+    Every table an expansion of X reads has its scope in X's context: X's
+    arc-weight tables and, with an evaluator that has `exiting` tables
+    (`SmbEvaluator`), each child's tables, whose sum is the child's `h_or`.
+    So with asg[X] = 0 each table's flat index is a base, and its index at
+    X = x is the base plus its stride of X times x. A table's row is its
+    flat list, its (variable, stride) pairs (`radix_pairs`) and its stride
+    of X. `weight_fns[X]` holds the rows of X's arc-weight tables and
+    `_kids[X]` the rows of each child's tables. A context's integer key is
+    its values read as a mixed-radix number (`context_key`), so the key of
+    X = x is the key of X = 0 plus x. Any other evaluator (`DmbEvaluator`)
+    is asked `h_or(c, asg)` for each child c on each miss. It may raise
+    LimitExceeded; a search then ends with its status, as when its own
+    budget runs out.
     """
 
     def __init__(self, net: BeliefNetwork, tree: PseudoTree, evaluator, factors,
@@ -60,29 +69,104 @@ class SearchProblem:
         self.domains = net.domains
         self.children = tree.children
         self.preorder = {v: tree.preorder_index(v) for v in self.variables}
-        self.weight_fns: dict[int, list[FlatTable]] = {v: [] for v in self.variables}
+        # Rows are built in place, without a call per table: on a deep chain
+        # each X is expanded about once, so building them must cost no more
+        # than the per-value lookups they replace.
+        self.weight_fns: dict[int, list[tuple]] = {v: [] for v in self.variables}
+        depth = tree.depth
         for f in factors:
             budget.check()
-            wvar = max(f.scope, key=lambda u: tree.depth[u], default=tree.root)
-            self.weight_fns[wvar].append(FlatTable(f))
+            X = max(f.scope, key=depth.__getitem__, default=tree.root)
+            pairs = radix_pairs(f.scope, f.table.shape)
+            sx = 0
+            for u, s in pairs:
+                if u == X:
+                    sx = s
+            self.weight_fns[X].append((f.table.ravel().tolist(), pairs, sx))
+        exiting = getattr(evaluator, "exiting", None)
+        self._kids = {}
+        for X in self.variables:
+            kids = None
+            if exiting is not None:
+                kids = []
+                for c in self.children[X]:
+                    rows = []
+                    for fn in exiting[c]:
+                        sx = 0
+                        for u, s in fn.pairs:
+                            if u == X:
+                                sx = s
+                        rows.append((fn.flat, fn.pairs, sx))
+                    kids.append(tuple(rows))
+                kids = tuple(kids)
+            self._kids[X] = kids
 
-    def weight(self, var: int, asg) -> float:
-        """Arc weight into <var, asg[var]>; asg must cover the tree path."""
-        total = 0.0
-        for fn in self.weight_fns[var]:
-            total += fn(asg)
-        return total
+    def context_key(self, X: int, asg) -> int:
+        """The values of `contexts[X]` in `asg` as one mixed-radix integer,
+        X's value last."""
+        key = 0
+        for u in self.contexts[X]:
+            key = key * self.domains[u] + asg[u]
+        return key
 
-    def child_bounds(self, var: int, asg):
-        """The evaluator's `h_or` of each child of `var`, as a tuple, and
-        their sum taken left to right from 0.0, the bound on the AND node
-        <var, asg[var]>; asg must cover the tree path to var."""
-        h_or = self.evaluator.h_or
-        hs = tuple([h_or(c, asg) for c in self.children[var]])
-        total = 0.0
-        for h in hs:
-            total += h
-        return hs, total
+    def weight(self, X: int, asg, cache) -> list[tuple]:
+        """One expansion of an OR node of X: for each value x, in order,
+        (w, key, hit, hs, hv). w is the arc weight into <X, x>, key the
+        integer key of X's context with X = x, and hit `cache`'s entry
+        under it or None. On a miss, hs is the tuple of the children's
+        bounds and hv their sum taken left to right from 0.0, the bound on
+        <X, x>; on a hit both are None. asg (a list or a dict) must assign
+        X's ancestors; this call writes asg[X]."""
+        domains = self.domains
+        asg[X] = 0
+        kb = 0  # context_key, inline
+        for u in self.contexts[X]:
+            kb = kb * domains[u] + asg[u]
+        wrows = []
+        for flat, pairs, sx in self.weight_fns[X]:
+            b = 0
+            for u, s in pairs:
+                b += s * asg[u]
+            wrows.append((flat, b, sx))
+        kids = self._kids[X]
+        krows = None
+        out = []
+        for x in range(domains[X]):
+            w = 0.0
+            for flat, b, sx in wrows:
+                w += flat[b + sx * x]
+            key = kb + x
+            hit = cache.get(key)
+            if hit is not None:
+                out.append((w, key, hit, None, None))
+                continue
+            if kids is None:
+                asg[X] = x
+                h_or = self.evaluator.h_or
+                hs = tuple([h_or(c, asg) for c in self.children[X]])
+            else:
+                if krows is None:  # bases as of asg[X] = 0
+                    krows = []
+                    for tabs in kids:
+                        rows = []
+                        for flat, pairs, sx in tabs:
+                            b = 0
+                            for u, s in pairs:
+                                b += s * asg[u]
+                            rows.append((flat, b, sx))
+                        krows.append(rows)
+                hs = []
+                for rows in krows:
+                    h = 0.0
+                    for flat, b, sx in rows:
+                        h += flat[b + sx * x]
+                    hs.append(h)
+                hs = tuple(hs)
+            hv = 0.0
+            for h in hs:
+                hv += h
+            out.append((w, key, None, hs, hv))
+        return out
 
 
 # in_tree: the node is in AOBF's unsolved marked partial solution tree. A
@@ -103,7 +187,7 @@ class _OrNode:
 
 
 class _AndNode:
-    # hs: the children's bounds from `child_bounds`, None once expanded
+    # hs: the children's bounds from `SearchProblem.weight`, None once expanded
     __slots__ = ("var", "val", "v", "children", "solved", "parents", "w",
                  "depth", "hs", "in_tree")
 
@@ -151,6 +235,11 @@ def aobf(problem: SearchProblem, budget: Budget = UNLIMITED,
     sweep; no other part of the tree is traced again. A key whose last tip
     left the tree stays in the heap and is skipped when popped.
 
+    An OR node is expanded with one `problem.weight` call. Its AND children
+    are shared through a cache per variable, keyed by the integer key of
+    their context, and each new one keeps its children's bounds until it
+    is expanded.
+
     `budget.check` counts every node created, before the first expansion
     and after each one."""
     stats = SearchStats()
@@ -160,8 +249,8 @@ def aobf(problem: SearchProblem, budget: Budget = UNLIMITED,
     evaluator = problem.evaluator
     preorder = problem.preorder
     # asg[X] is the value of X's AND node in the tree, for each X that has
-    # one. A tip's ancestors all have one, and weight and h_or read only
-    # those; the other entries may be stale.
+    # one. A tip's ancestors all have one, and `weight` reads only those;
+    # the other entries may be stale.
     asg = [-1] * problem.size
     cache: dict[int, dict] = {v: {} for v in problem.variables}
     root = _OrNode(tree.root, 0, float("inf"), None)  # h_or set below
@@ -269,16 +358,11 @@ def aobf(problem: SearchProblem, budget: Budget = UNLIMITED,
             stats.expansions += 1
             if isinstance(tip, _OrNode):
                 X = tip.var
-                ctx = problem.contexts[X]
-                for x in range(problem.domains[X]):
-                    asg[X] = x
-                    w = problem.weight(X, asg)
-                    key = tuple(asg[u] for u in ctx)
-                    child = cache[X].get(key)
+                found = cache[X]
+                for x, (w, key, child, hs, hv) in enumerate(
+                        problem.weight(X, asg, found)):
                     if child is None:
-                        hs, v0 = problem.child_bounds(X, asg)
-                        child = _AndNode(X, x, tip.depth + 1, v0, w, hs)
-                        cache[X][key] = child
+                        child = found[key] = _AndNode(X, x, tip.depth + 1, hv, w, hs)
                         nodes_created += 1
                     else:
                         stats.cache_hits += 1
@@ -329,8 +413,10 @@ def aobb(problem: SearchProblem, budget: Budget = UNLIMITED) -> SolveResult:
     children are tried in decreasing (weight + h) order; a branch is pruned
     when its bound cannot strictly beat the relevant incumbent. Exactly
     solved AND contexts are cached with their bound and their children's
-    choices, and reused, so a cached context's children are not asked for
-    their bounds again. The solution is read off the cache at the end.
+    choices, under the integer key of their context, and reused, so a
+    cached context's children are not asked for their bounds again. Each
+    OR node's candidates come from one `problem.weight` call. The solution
+    is read off the cache at the end.
 
     `budget.check` runs at each OR node expansion, and counts the cache
     entries each time one is stored."""
@@ -338,11 +424,9 @@ def aobb(problem: SearchProblem, budget: Budget = UNLIMITED) -> SolveResult:
     if not problem.variables:
         return SolveResult("solved", 0.0, {}, stats)
     tree = problem.tree
-    domains = problem.domains
     children = problem.children
-    contexts = problem.contexts
     asg = [-1] * problem.size
-    # cache[X][context values] = (bound, value, children's chosen values)
+    # cache[X][context key] = (bound, value, children's chosen values)
     cache: dict[int, dict] = {v: {} for v in problem.variables}
     incumbent = NEG_INF  # the root's best value so far, reported on timeout
 
@@ -355,15 +439,9 @@ def aobb(problem: SearchProblem, budget: Budget = UNLIMITED) -> SolveResult:
         budget.check()
         kids = children[X]
         cands = []
-        for x in range(domains[X]):
-            asg[X] = x
-            w = problem.weight(X, asg)
-            key = tuple(asg[u] for u in contexts[X]) if kids else None
-            hit = cache[X].get(key)
-            if hit is None:
-                hs, hv = problem.child_bounds(X, asg)
-            else:
-                hs, hv = None, hit[0]  # cached entries keep their AND bound
+        for x, (w, key, hit, hs, hv) in enumerate(problem.weight(X, asg, cache[X])):
+            if hit is not None:
+                hv = hit[0]  # cached entries keep their AND bound
             cands.append((w + hv, x, w, hv, hs, key, hit))
         cands.sort(key=lambda t: (-t[0], t[1]))
         best = NEG_INF
@@ -439,6 +517,6 @@ def aobb(problem: SearchProblem, budget: Budget = UNLIMITED) -> SolveResult:
         X, x = stack.pop()
         assignment[X] = asg[X] = x
         if children[X]:
-            choices = cache[X][tuple(asg[u] for u in contexts[X])][2]
-            stack.extend(zip(children[X], choices))
+            key = problem.context_key(X, asg)
+            stack.extend(zip(children[X], cache[X][key][2]))
     return SolveResult("solved", incumbent, assignment, stats)

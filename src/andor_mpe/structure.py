@@ -41,15 +41,6 @@ class PseudoTree:
     def preorder_index(self, v: int) -> int:
         return self._preorder_index[v]
 
-    def is_ancestor(self, a: int, v: int) -> bool:
-        """True iff `a` is a proper ancestor of `v`."""
-        p = self.parent[v]
-        while p is not None:
-            if p == a:
-                return True
-            p = self.parent[p]
-        return False
-
 
 def _copy_graph(g: Graph) -> Graph:
     return {v: set(nb) for v, nb in g.items()}
@@ -165,7 +156,8 @@ def min_fill_order(g: Graph, seed: int = 0,
 def build_pseudo_tree(g: Graph, elim: EliminationOrder,
                       budget: Budget = UNLIMITED) -> PseudoTree:
     """Bucket tree and cache contexts from one elimination of `g` along
-    `elim.order`, with `budget.check()` before each step.
+    `elim.order`, with `budget.check()` before each step, and then once
+    per variable as it gets its parent and once as the DFS reaches it.
 
     When v is eliminated, its remaining neighbors N(v) are the vertices
     eliminated after it that share an induced-graph edge with it. v's parent
@@ -188,43 +180,31 @@ def build_pseudo_tree(g: Graph, elim: EliminationOrder,
         later[v] = _eliminate(work, v)
     root = order[-1]
     parent: dict[int, int | None] = {root: None}
-    for v in order[:-1]:
-        parent[v] = min(later[v], key=lambda u: pos[u]) if later[v] else root
     children: dict[int, list[int]] = {v: [] for v in order}
-    for v, p in parent.items():
-        if p is not None:
-            children[p].append(v)
-    # Deterministic child order: reverse elimination (shallow contexts first).
-    for v in children:
-        children[v].sort(key=lambda u: -pos[u])
+    for v in order[:-1]:
+        budget.check()
+        p = parent[v] = min(later[v], key=pos.__getitem__) if later[v] else root
+        children[p].append(v)
+    # The DFS reaches each vertex after its ancestors, so their depths are
+    # known when its context is sorted.
     depth = {root: 0}
     dfs = []
+    contexts = {}
     stack = [root]
     while stack:
+        budget.check()
         v = stack.pop()
         dfs.append(v)
+        contexts[v] = tuple(sorted(later[v], key=depth.__getitem__)) + (v,)
+        # Deterministic child order: reverse elimination (shallow contexts first).
+        children[v].sort(key=lambda u: -pos[u])
         for c in reversed(children[v]):
             depth[c] = depth[v] + 1
             stack.append(c)
     height = max(depth.values())
-    contexts = {v: tuple(sorted(later[v], key=depth.__getitem__)) + (v,)
-                for v in order}
     return PseudoTree(parent=parent, children=children, root=root, height=height,
                       depth=depth, dfs_order=tuple(dfs), contexts=contexts,
                       elim=elim)
-
-
-def validate_pseudo_tree(t: PseudoTree, g: Graph) -> bool:
-    """True iff every graph edge joins an ancestor/descendant pair of t."""
-    if set(t.parent) != set(g):
-        return False
-    for v, nbrs in g.items():
-        for u in nbrs:
-            if u == v:
-                continue
-            if not (t.is_ancestor(u, v) or t.is_ancestor(v, u)):
-                return False
-    return True
 
 
 def context_cache_bound(context: tuple[int, ...], domains: dict[int, int]) -> int:

@@ -55,6 +55,37 @@ def random_chain(n: int, seed: int = 0) -> BeliefNetwork:
                          domains={v: 2 for v in range(n)}, factors=factors)
 
 
+def is_ancestor(tree: PseudoTree, a: int, v: int) -> bool:
+    """True iff `a` is a proper ancestor of `v` in `tree`."""
+    p = tree.parent[v]
+    while p is not None:
+        if p == a:
+            return True
+        p = tree.parent[p]
+    return False
+
+
+def validate_pseudo_tree(t: PseudoTree, g: Graph) -> bool:
+    """True iff every graph edge joins an ancestor/descendant pair of t."""
+    if set(t.parent) != set(g):
+        return False
+    for v, nbrs in g.items():
+        for u in nbrs:
+            if u == v:
+                continue
+            if not (is_ancestor(t, u, v) or is_ancestor(t, v, u)):
+                return False
+    return True
+
+
+def restrict(f: LogFactor, assignment: dict[int, int]) -> LogFactor:
+    """`f` with the variables of `assignment` fixed to their values."""
+    idx = tuple(assignment[v] if v in assignment else slice(None)
+                for v in f.scope)
+    scope = tuple(v for v in f.scope if v not in assignment)
+    return LogFactor(scope, np.asarray(f.table[idx]))
+
+
 def subtree(tree: PseudoTree, v: int) -> list[int]:
     """All variables of the subtree of `tree` rooted at v, v first."""
     out = [v]
@@ -153,6 +184,36 @@ def reference_ring_min_fill_order(g: Graph, seed: int = 0,
     return EliminationOrder(order=tuple(order), induced_width=width)
 
 
+def reference_weight(problem: SearchProblem, var: int, asg) -> float:
+    """Arc weight into <var, asg[var]>; asg must cover the tree path.
+
+    A test-only reference for the arc weights of `SearchProblem.weight`:
+    each of var's tables (`weight_fns[var]`: flat list, (variable, stride)
+    pairs, stride of var) is indexed from `asg` on its own."""
+    total = 0.0
+    for flat, pairs, _ in problem.weight_fns[var]:
+        i = 0
+        for u, s in pairs:
+            i += s * asg[u]
+        total += flat[i]
+    return total
+
+
+def reference_child_bounds(problem: SearchProblem, var: int, asg):
+    """The evaluator's `h_or` of each child of `var`, as a tuple, and
+    their sum taken left to right from 0.0, the bound on the AND node
+    <var, asg[var]>; asg must cover the tree path to var.
+
+    A test-only reference for the bounds of `SearchProblem.weight`: one
+    `h_or` per child, whatever the evaluator."""
+    h_or = problem.evaluator.h_or
+    hs = tuple([h_or(c, asg) for c in problem.children[var]])
+    total = 0.0
+    for h in hs:
+        total += h
+    return hs, total
+
+
 def exact_subproblem_values(problem):
     """Exact conditioned value of every node of the context-minimal graph,
     computed from arc weights alone (independent of any heuristic).
@@ -170,7 +231,7 @@ def exact_subproblem_values(problem):
         best = -math.inf
         for x in range(problem.domains[X]):
             asg[X] = x
-            best = max(best, problem.weight(X, asg) + ex_and(X))
+            best = max(best, reference_weight(problem, X, asg) + ex_and(X))
             del asg[X]
         return best
 
@@ -194,7 +255,7 @@ def exact_subproblem_values(problem):
         for x in range(problem.domains[X]):
             path = dict(full_asg)
             path[X] = x
-            best = max(best, problem.weight(X, path) + and_value(X, path))
+            best = max(best, reference_weight(problem, X, path) + and_value(X, path))
         return best
 
     return root_v, or_value, and_value
@@ -304,11 +365,11 @@ def reference_aobf(problem: SearchProblem, budget: Budget = UNLIMITED,
             ctx = problem.contexts[X]
             for x in range(problem.domains[X]):
                 asg[X] = x
-                w = problem.weight(X, asg)
+                w = reference_weight(problem, X, asg)
                 key = tuple(asg[u] for u in ctx)
                 child = cache[X].get(key)
                 if child is None:
-                    hs, v0 = problem.child_bounds(X, asg)
+                    hs, v0 = reference_child_bounds(problem, X, asg)
                     child = _AndNode(X, x, tip.depth + 1, v0, w, hs)
                     cache[X][key] = child
                     nodes_created += 1
@@ -383,11 +444,11 @@ def reference_aobb(problem: SearchProblem,
         cands = []
         for x in range(domains[X]):
             asg[X] = x
-            w = problem.weight(X, asg)
+            w = reference_weight(problem, X, asg)
             key = tuple(asg[u] for u in contexts[X]) if kids else None
             hit = cache[X].get(key)
             if hit is None:
-                hs, hv = problem.child_bounds(X, asg)
+                hs, hv = reference_child_bounds(problem, X, asg)
             else:
                 hs, hv = None, hit[0]  # cached entries keep their AND bound
             cands.append((w + hv, x, w, hv, hs, key, hit))
@@ -699,7 +760,7 @@ class reference_dmb:
         for k in self._subtree_factors[var]:
             lf = self._logfactors[k]
             fixed = {u: asg[u] for u in lf.scope if u not in ss}
-            functions.append(lf.restrict(fixed) if fixed else lf)
+            functions.append(restrict(lf, fixed) if fixed else lf)
         constant, records = reference_mini_bucket_pass(
             functions, self._subtree_vars[var], self._pos, self.i_bound,
             self.budget)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -104,6 +105,50 @@ def test_an_expired_budget_ends_ordering_and_heuristic_build(monkeypatch):
     for search in (am.aobf, am.aobb):
         res = search(problem)
         assert res.status == "timeout" and res.assignment is None
+
+
+class _CountingBudget(am.Budget):
+    """No limit, but records the function that makes each `check` call,
+    and raises LimitExceeded("timeout") at call `k`."""
+
+    def __init__(self, k=None):
+        super().__init__()
+        self.k = k
+        self.callers = []
+
+    def check(self, nodes=0, entries=0):
+        self.callers.append(sys._getframe(1).f_code.co_name)
+        if len(self.callers) == self.k:
+            raise am.LimitExceeded("timeout")
+
+
+def test_tree_and_dmb_plan_check_the_budget_in_their_long_stretches():
+    """`build_pseudo_tree` checks once per variable as it gets its parent
+    and once as the DFS reaches it, after its elimination loop; a DMB
+    compile checks after its subtree sort and after its factor split,
+    before `mini_bucket_schedule`. A limit that runs out in either stretch
+    stops the stage there."""
+    net = random_chain(2000, 0)
+    g = am.primal_graph(net)
+    elim = am.min_fill_order(g)
+    n = len(g)
+    counted = _CountingBudget()
+    tree = am.build_pseudo_tree(g, elim, counted)
+    assert counted.callers == ["build_pseudo_tree"] * (3 * n - 1)
+    for k in (n + 1, 2 * n, 3 * n - 1):  # the first parent, the DFS's first and last
+        with pytest.raises(am.LimitExceeded, match="timeout"):
+            am.build_pseudo_tree(g, elim, _CountingBudget(k))
+    factors = am.log_factors(net.factors)
+    counted = _CountingBudget()
+    evaluator = am.DmbEvaluator(factors, tree, 2, counted)
+    filed = len(counted.callers)  # one per factor
+    evaluator.h_or(tree.root, [-1] * n)
+    assert counted.callers[filed:filed + 3] == ["_compile", "_compile",
+                                               "mini_bucket_schedule"]
+    for k in (filed + 1, filed + 2):
+        evaluator = am.DmbEvaluator(factors, tree, 2, _CountingBudget(k))
+        with pytest.raises(am.LimitExceeded, match="timeout"):
+            evaluator.h_or(tree.root, [-1] * n)
 
 
 def test_run_instance_memout_status():

@@ -13,7 +13,8 @@ import andor_mpe as am
 from andor_mpe.search import _AndNode, _OrNode, _tip_key
 
 from helpers import (TWO_VAR_UAI, close, exact_subproblem_values,
-                     random_chain, reference_aobb, reference_aobf)
+                     random_chain, reference_aobb, reference_aobf,
+                     reference_child_bounds, reference_weight)
 
 
 def test_aobf_hand_checked_two_vars():
@@ -97,12 +98,12 @@ def test_arc_weights_telescope_to_log_probability(seed):
     x = {v: rng.randrange(2) for v in net.variables}
     total = 0.0
     for v in tree.dfs_order:  # only the path to v is assigned
-        path = {}
-        u = v
-        while u is not None:  # v and its ancestors
+        path = [-1] * n
+        u = tree.parent[v]
+        while u is not None:  # v's ancestors
             path[u] = x[u]
             u = tree.parent[u]
-        total += problem.weight(v, path)
+        total += problem.weight(v, path, {})[x[v]][0]
     assert close(total, am.log_probability(net, x))
 
 
@@ -149,13 +150,34 @@ def _record_h_or(problem):
     return keys
 
 
+def _record_bounds(problem):
+    """Under SMB, where `weight` looks up the children's bounds itself and
+    the root's `h_or` is the one evaluator call: record the root call as
+    (root, ()) and each child bound an expansion computes as (child, its
+    parent's context key); returns the list of records."""
+    keys = _record_h_or(problem)
+    weight, children = problem.weight, problem.children
+
+    def recorder(X, asg, cache):
+        rows = weight(X, asg, cache)
+        for _, key, hit, hs, _ in rows:
+            if hit is None:
+                assert len(hs) == len(children[X])
+                keys.extend((c, key) for c in children[X])
+        return rows
+
+    problem.weight = recorder
+    return keys
+
+
 def test_aobf_asks_each_child_bound_once_per_and_node():
+    record = {"smb": _record_bounds, "dmb": _record_h_or}
     for heuristic in ("smb", "dmb"):
         for seed in range(40):
             net = am.gen_random(12, 2, 9, 2, seed=seed)
             problem = am.build_problem(net, am.decompose(net), 2,
                                        heuristic=heuristic)
-            keys = _record_h_or(problem)
+            keys = record[heuristic](problem)
             assert am.aobf(problem).status == "solved"
             assert len(set(keys)) == len(keys), (heuristic, seed)
     net = am.gen_random(12, 2, 9, 2, seed=0)
@@ -164,11 +186,70 @@ def test_aobf_asks_each_child_bound_once_per_and_node():
     for heuristic in ("smb", "dmb"):
         for search in (am.aobf, am.aobb):
             problem = am.build_problem(net, tree, 2, heuristic=heuristic)
-            keys = _record_h_or(problem)
+            keys = record[heuristic](problem)
             search(problem)
             calls[heuristic, search.__name__] = len(keys)
     assert calls == {("smb", "aobf"): 49, ("smb", "aobb"): 69,
                      ("dmb", "aobf"): 33, ("dmb", "aobb"): 42}
+
+
+def _expansion_nets():
+    """Random nets of domain 2 and 3, grids with deterministic CPTs and
+    evidence (log tables hold -inf), coding nets, and a net with two
+    domain-1 variables and a scalar factor, which goes to the root."""
+    nets = []
+    for seed in range(5):
+        nets.append(am.gen_random(14, 2 + seed % 2, 12, 2, seed=seed))
+        net, evidence = am.gen_grid(4, 0.9, 3, seed=seed)
+        nets.append(am.apply_evidence(net, evidence))
+        nets.append(am.gen_coding(5, 3, 0.5, seed=seed)[0])
+    base = am.gen_random(8, 2, 6, 2, seed=3)
+    factors = list(base.factors) + [
+        am.Factor(scope=(8,), table=np.array([1.0]), child=8),
+        am.Factor(scope=(0, 9), table=np.array([[1.0], [1.0]]), child=9),
+        am.Factor(scope=(), table=np.array(0.25), child=None)]
+    domains = {**base.domains, 8: 1, 9: 1}
+    nets.append(am.BeliefNetwork(variables=list(range(10)), domains=domains,
+                                 factors=factors))
+    return nets
+
+
+def test_or_expansion_matches_the_per_value_reference():
+    """For every value x of X, `weight(X, asg, cache)` returns the arc
+    weight, the children's bounds and their sum bit for bit as the
+    per-value reference computes them with asg[X] = x, under SMB and DMB;
+    a context's integer key is the same whenever the context is, and only
+    then; and a cached key comes back with its entry and no bounds."""
+    rng = random.Random(0)
+    for net in _expansion_nets():
+        tree = am.decompose(net)
+        for heuristic in ("smb", "dmb"):
+            problem = am.build_problem(net, tree, 2, heuristic=heuristic)
+            keys = {}
+            for X in net.variables:
+                ctx = problem.contexts[X]
+                for _ in range(4):
+                    asg = [rng.randrange(net.domains[v]) if v in net.domains
+                           else -1 for v in range(problem.size)]
+                    got = problem.weight(X, list(asg), {})
+                    assert len(got) == net.domains[X]
+                    for x, (w, key, hit, hs, hv) in enumerate(got):
+                        asg[X] = x
+                        want_hs, want_hv = reference_child_bounds(problem, X, asg)
+                        assert hit is None
+                        assert repr(w) == repr(reference_weight(problem, X, asg))
+                        assert [repr(h) for h in hs] == [repr(h) for h in want_hs]
+                        assert repr(hv) == repr(want_hv), (heuristic, X, x)
+                        context = tuple(asg[u] for u in ctx)
+                        assert keys.setdefault((X, key), context) == context
+                    cached = {got[0][1]: "entry"}
+                    again = problem.weight(X, list(asg), cached)
+                    assert again[0][1:] == (got[0][1], "entry", None, None)
+                    assert [r[:2] + r[3:] for r in again[1:]] == \
+                        [r[:2] + r[3:] for r in got[1:]]
+            contexts = {}
+            for (X, key), context in keys.items():
+                assert contexts.setdefault((X, context), key) == key
 
 
 def test_expansion_counts_on_the_seed_501_net():

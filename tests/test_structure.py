@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import andor_mpe as am
 from andor_mpe.structure import context_cache_bound
 
-from helpers import (TWO_VAR_UAI, reference_min_fill_order,
-                     reference_ring_min_fill_order, subtree)
+from helpers import (TWO_VAR_UAI, is_ancestor, reference_min_fill_order,
+                     reference_ring_min_fill_order, subtree,
+                     validate_pseudo_tree)
 
 
 def random_graph(seed, n=None, p=0.3):
@@ -181,7 +182,7 @@ def test_pseudo_tree_back_arc_property(seed, order_seed):
     g = random_graph(seed)
     elim = am.min_fill_order(g, seed=order_seed)
     tree = am.build_pseudo_tree(g, elim)
-    assert am.validate_pseudo_tree(tree, g)
+    assert validate_pseudo_tree(tree, g)
     assert tree.root == elim.order[-1]
     # parent is eliminated after the child
     pos = elim.position
@@ -214,14 +215,14 @@ def test_validate_pseudo_tree_rejects_cross_edges():
                         dfs_order=(0, 1, 2),
                         contexts={0: (0,), 1: (0, 1), 2: (0, 2)})
     # edge 1-2 joins two siblings: invalid
-    assert not am.validate_pseudo_tree(bad, g)
+    assert not validate_pseudo_tree(bad, g)
 
 
 def test_disconnected_components_form_single_tree():
     g = {0: {1}, 1: {0}, 2: {3}, 3: {2}, 4: set()}
     elim = am.min_fill_order(g)
     tree = am.build_pseudo_tree(g, elim)
-    assert am.validate_pseudo_tree(tree, g)
+    assert validate_pseudo_tree(tree, g)
     roots = [v for v, p in tree.parent.items() if p is None]
     assert roots == [tree.root]
 
@@ -238,7 +239,7 @@ def test_context_size_bounded_by_width_plus_one(seed):
         # ancestors appear root-to-leaf
         depths = [tree.depth[u] for u in c[:-1]]
         assert depths == sorted(depths)
-        assert all(tree.is_ancestor(u, v) for u in c[:-1])
+        assert all(is_ancestor(tree, u, v) for u in c[:-1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,7 +260,7 @@ def test_contexts_are_ancestors_adjacent_to_the_subtree(seed, n, p, shuffled):
     else:
         elim = am.min_fill_order(g, seed=seed)
     tree = am.build_pseudo_tree(g, elim)
-    assert am.validate_pseudo_tree(tree, g)
+    assert validate_pseudo_tree(tree, g)
     for v in g:
         below = set(subtree(tree, v))
         path = []
@@ -305,4 +306,4 @@ def test_subtree_and_ancestors():
     assert set(subtree(tree, 2)) == {0, 1, 2}
     assert subtree(tree, 2)[0] == 2
     assert [tree.parent[v] for v in (0, 1, 2, 3)] == [1, 2, 3, None]
-    assert tree.is_ancestor(3, 0) and not tree.is_ancestor(0, 3)
+    assert is_ancestor(tree, 3, 0) and not is_ancestor(tree, 0, 3)
