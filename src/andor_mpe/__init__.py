@@ -5,8 +5,7 @@ from .model import (BeliefNetwork, Factor, apply_evidence, log_probability,
 from .structure import (EliminationOrder, PseudoTree, build_pseudo_tree,
                         min_fill_order)
 from .factor_ops import log_factors
-from .heuristics import (DmbEvaluator, MiniBucketTables, SmbEvaluator,
-                         compile_smb)
+from .heuristics import DmbEvaluator, SmbEvaluator, compile_smb
 from .limits import Budget, LimitExceeded
 from .search import SearchProblem, SolveResult, aobb, aobf
 from .oracle import OracleResult, bucket_elimination_mpe, enumerate_mpe
@@ -18,7 +17,7 @@ __all__ = [
     "apply_evidence", "primal_graph", "log_probability",
     "EliminationOrder", "PseudoTree", "min_fill_order", "build_pseudo_tree",
     "decompose", "build_problem",
-    "log_factors", "MiniBucketTables", "SmbEvaluator", "DmbEvaluator", "compile_smb",
+    "log_factors", "SmbEvaluator", "DmbEvaluator", "compile_smb",
     "Budget", "LimitExceeded", "SearchProblem", "SolveResult", "aobf", "aobb",
     "OracleResult", "enumerate_mpe", "bucket_elimination_mpe",
     "GenSpec", "gen_random", "gen_grid", "gen_coding",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import generators, model, oracle, structure
 from .factor_ops import log_factors
-from .heuristics import DmbEvaluator, SmbEvaluator, compile_smb
+from .heuristics import DmbEvaluator, compile_smb
 from .limits import UNLIMITED, Budget, LimitExceeded
 from .search import SearchProblem, aobb, aobf
 
@@ -85,8 +85,7 @@ def build_problem(net: model.BeliefNetwork, tree: structure.PseudoTree,
     The problem is built, and the DMB sweeps later, under `budget`."""
     factors = log_factors(net.factors)
     if heuristic == "smb":
-        evaluator = SmbEvaluator(compile_smb(factors, tree, ibound,
-                                             budget=budget))
+        evaluator = compile_smb(factors, tree, ibound, budget=budget)
     elif heuristic == "dmb":
         evaluator = DmbEvaluator(factors, tree, ibound, budget=budget)
     else:

@@ -1,4 +1,4 @@
-"""Log-space factors, their algebra and their flat lookup tables."""
+"""Log-space factors, their algebra and the strides of their flat rows."""
 
 from __future__ import annotations
 
@@ -47,26 +47,6 @@ def radix_pairs(scope, sizes) -> tuple[tuple[int, int], ...]:
         stride *= sizes[k]
     pairs.reverse()
     return tuple(pairs)
-
-
-class FlatTable:
-    """A LogFactor as a flat list with strides: `pairs` holds each scope
-    variable with its stride (`radix_pairs`), in scope order, and `fn(asg)`
-    is the entry at `asg` (a list indexed by variable, or a dict), found in
-    O(scope)."""
-
-    __slots__ = ("scope", "pairs", "flat")
-
-    def __init__(self, f: LogFactor):
-        self.scope = f.scope
-        self.pairs = radix_pairs(f.scope, f.table.shape)
-        self.flat = f.table.ravel().tolist()
-
-    def __call__(self, asg) -> float:
-        i = 0
-        for v, s in self.pairs:
-            i += s * asg[v]
-        return self.flat[i]
 
 
 def combine(factors: list[LogFactor]) -> LogFactor:

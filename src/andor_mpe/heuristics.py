@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factor_ops import FlatTable, LogFactor, combine, max_out
+from .factor_ops import LogFactor, combine, max_out, radix_pairs
 from .limits import UNLIMITED, Budget
 from .structure import PseudoTree
 
@@ -30,7 +30,8 @@ def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims, budget=None):
     (their variables in order of first appearance), eliminates `var` and
     emits function len(scopes) + j over `union` without `var`. It joins the
     bucket of `dest`, its earliest variable, or is a constant when `dest`
-    is None. Under a `budget`, each message scheduled is followed by
+    is None. Under a `budget`, `budget.check()` runs before each input
+    scope is filed, and each message scheduled is followed by
     `budget.check` of the entries of all messages so far, sized by `dims`
     (variable -> domain size, read only then).
     """
@@ -43,6 +44,8 @@ def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims, budget=None):
     bucket: dict[int, list] = {v: [] for v in elim_vars}
     constants = []
     for k, scope in enumerate(scopes):
+        if budget is not None:
+            budget.check()
         if scope:
             bucket[min(scope, key=key)].append((-len(scope), scope, k))
         else:
@@ -82,23 +85,14 @@ def mini_bucket_schedule(scopes, elim_vars, pos, i_bound, dims, budget=None):
     return constants, steps
 
 
-@dataclass(eq=False)
-class MiniBucketTables:
-    """Compiled SMB tables, with messages indexed per pseudo-tree node:
-    `exiting[X]` holds every message generated inside X's subtree whose
-    destination bucket lies outside it."""
-
-    root_bound: float
-    exiting: dict[int, list[FlatTable]]
-    table_entries: int
-
-
 def compile_smb(factors: list[LogFactor], tree: PseudoTree, i_bound: int,
-                budget: Budget = UNLIMITED) -> MiniBucketTables:
-    """SMB tables over `tree` of a network's log factors (`log_factors`):
-    each message of the `mini_bucket_schedule` sweep, scheduled under
-    `budget` and built after a `budget.check()`, is indexed at its origin
-    and every ancestor below its destination."""
+                budget: Budget = UNLIMITED) -> SmbEvaluator:
+    """The SMB heuristic over `tree` of a network's log factors
+    (`log_factors`): each message of the `mini_bucket_schedule` sweep,
+    scheduled under `budget` and built after a `budget.check()`, is one row
+    (flat list, `radix_pairs`, stride of X), filed at its origin and every
+    ancestor below its destination; X, whose expansion reads it, is the
+    parent of the node it is filed at (stride 0 at the root or off scope)."""
     elim = tree.elim
     constants, steps = mini_bucket_schedule(
         [f.scope for f in factors], elim.order, elim.position, i_bound,
@@ -107,7 +101,8 @@ def compile_smb(factors: list[LogFactor], tree: PseudoTree, i_bound: int,
     for k in constants:
         constant += factors[k].scalar()
     funcs = list(factors)
-    exiting: dict[int, list[FlatTable]] = {v: [] for v in elim.order}
+    parent = tree.parent
+    exiting: dict[int, list[tuple]] = {v: [] for v in elim.order}
     entries = 0
     for v, members, _, dest in steps:
         budget.check()
@@ -115,31 +110,39 @@ def compile_smb(factors: list[LogFactor], tree: PseudoTree, i_bound: int,
         funcs.append(msg)
         if dest is None:
             constant += msg.scalar()
-        compiled = FlatTable(msg)
-        entries += len(compiled.flat)
+        flat = msg.table.ravel().tolist()
+        pairs = radix_pairs(msg.scope, msg.table.shape)
+        strides = dict(pairs)
+        entries += len(flat)
         cur = v
         while cur is not None and cur != dest:
-            exiting[cur].append(compiled)
-            cur = tree.parent[cur]
+            p = parent[cur]
+            exiting[cur].append((flat, pairs, strides.get(p, 0)))
+            cur = p
         if dest is not None and cur is None:
             raise AssertionError("message destination is not an ancestor of its origin")
-    return MiniBucketTables(root_bound=constant, exiting=exiting,
-                            table_entries=entries)
+    return SmbEvaluator(constant, exiting, entries)
 
 
+@dataclass(eq=False)
 class SmbEvaluator:
-    """Static heuristic: table lookups over the pre-compiled messages.
-    `h_or(X, asg)` is the sum of `exiting[X]`'s entries, taken in order
-    from 0.0; `SearchProblem` reads those tables itself."""
+    """Static heuristic, as `compile_smb` builds it: `exiting[X]` holds the
+    row of every message generated inside X's subtree whose destination
+    bucket lies outside it, and `h_or(X, asg)` sums their entries in order
+    from 0.0 (`SearchProblem` reads the rows itself). `root_bound` bounds
+    the whole problem; `table_entries` counts the messages' entries."""
 
-    def __init__(self, tables: MiniBucketTables):
-        self.tables = tables
-        self.exiting = tables.exiting
+    root_bound: float
+    exiting: dict[int, list[tuple]]
+    table_entries: int
 
     def h_or(self, var: int, asg) -> float:
         total = 0.0
-        for fn in self.exiting[var]:
-            total += fn(asg)
+        for flat, pairs, _ in self.exiting[var]:
+            i = 0
+            for u, s in pairs:
+                i += s * asg[u]
+            total += flat[i]
         return total
 
 

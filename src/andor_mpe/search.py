@@ -45,13 +45,14 @@ class SearchProblem:
     The only other model query is AOBF's `evaluator.h_or(root, asg)`.
 
     Every table an expansion of X reads has its scope in X's context: X's
-    arc-weight tables and, with an evaluator that has `exiting` tables
-    (`SmbEvaluator`), each child's tables, whose sum is the child's `h_or`.
+    arc-weight tables and, with an evaluator that has `exiting` rows
+    (`SmbEvaluator`), each child's rows, whose sum is the child's `h_or`.
     So with asg[X] = 0 each table's flat index is a base, and its index at
     X = x is the base plus its stride of X times x. A table's row is its
     flat list, its (variable, stride) pairs (`radix_pairs`) and its stride
-    of X. `weight_fns[X]` holds the rows of X's arc-weight tables and
-    `_kids[X]` the rows of each child's tables. A context's integer key is
+    of X. `weight_fns[X]` holds the rows of X's arc-weight tables, built
+    here, and `_kids[X]` each child's `exiting` rows, which `compile_smb`
+    built with their stride of X. A context's integer key is
     its values read as a mixed-radix number (`context_key`), so the key of
     X = x is the key of X = 0 plus x. Any other evaluator (`DmbEvaluator`)
     is asked `h_or(c, asg)` for each child c on each miss. It may raise
@@ -78,28 +79,12 @@ class SearchProblem:
             budget.check()
             X = max(f.scope, key=depth.__getitem__, default=tree.root)
             pairs = radix_pairs(f.scope, f.table.shape)
-            sx = 0
-            for u, s in pairs:
-                if u == X:
-                    sx = s
-            self.weight_fns[X].append((f.table.ravel().tolist(), pairs, sx))
+            self.weight_fns[X].append(
+                (f.table.ravel().tolist(), pairs, dict(pairs).get(X, 0)))
         exiting = getattr(evaluator, "exiting", None)
-        self._kids = {}
-        for X in self.variables:
-            kids = None
-            if exiting is not None:
-                kids = []
-                for c in self.children[X]:
-                    rows = []
-                    for fn in exiting[c]:
-                        sx = 0
-                        for u, s in fn.pairs:
-                            if u == X:
-                                sx = s
-                        rows.append((fn.flat, fn.pairs, sx))
-                    kids.append(tuple(rows))
-                kids = tuple(kids)
-            self._kids[X] = kids
+        self._kids = {X: None if exiting is None
+                      else tuple(exiting[c] for c in self.children[X])
+                      for X in self.variables}
 
     def context_key(self, X: int, asg) -> int:
         """The values of `contexts[X]` in `asg` as one mixed-radix integer,
@@ -503,6 +488,8 @@ def aobb(problem: SearchProblem, budget: Budget = UNLIMITED) -> SolveResult:
         status = e.status
     finally:
         sys.setrecursionlimit(old_limit)
+        # break the closures' cycle, which would keep the problem alive
+        solve_or = solve_and = None
     if status != "solved":
         return SolveResult(status, incumbent, None, stats)
     _assert_cache_bound(cache, problem.contexts, problem.domains)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from andor_mpe.factor_ops import LogFactor, combine, max_out
+from andor_mpe.heuristics import SmbEvaluator
 from andor_mpe.limits import UNLIMITED, Budget, LimitExceeded
 from andor_mpe.model import (ROW_NORMALIZATION_TOL, BeliefNetwork, Factor,
                              UAIParseError, _is_integer)
@@ -724,6 +725,34 @@ def reference_mini_bucket_pass(functions, elim_vars, pos, i_bound,
                 bucket[dest].append(msg)
                 records.append(MessageRecord(v, dest, msg))
     return constant, records
+
+
+def reference_smb(factors: list[LogFactor], tree: PseudoTree, ibound: int,
+                  budget=None) -> SmbEvaluator:
+    """SMB rows assembled from `reference_mini_bucket_pass` records: each
+    message is filed at its origin and every ancestor below its
+    destination as (flat list, (variable, stride) pairs, stride of the
+    node's parent, 0 at the root or when the parent is not in its scope),
+    with strides from the table's shape.
+
+    A test-only reference for `heuristics.compile_smb`."""
+    elim = tree.elim
+    constant, records = reference_mini_bucket_pass(
+        factors, list(elim.order), elim.position, ibound, budget)
+    exiting = {v: [] for v in elim.order}
+    for rec in records:
+        shape = rec.factor.table.shape
+        pairs = tuple((u, math.prod(shape[k + 1:]))
+                      for k, u in enumerate(rec.factor.scope))
+        flat = rec.factor.table.ravel().tolist()
+        cur = rec.origin
+        while cur is not None and cur != rec.dest:
+            p = tree.parent[cur]
+            sx = next((s for u, s in pairs if u == p), 0)
+            exiting[cur].append((flat, pairs, sx))
+            cur = p
+    entries = sum(rec.factor.table.size for rec in records)
+    return SmbEvaluator(constant, exiting, entries)
 
 
 class reference_dmb:

@@ -126,7 +126,7 @@ def test_criterion_3_exact_heuristic_degenerates_search():
         tree = am.decompose(net)
         problem = am.build_problem(net, tree, tree.elim.induced_width + 1)
         res = am.aobf(problem)
-        if not close(problem.evaluator.tables.root_bound, exact):
+        if not close(problem.evaluator.root_bound, exact):
             failures += 1
             continue
         if res.stats.expansions > 2 * n + n * 2:

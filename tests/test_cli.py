@@ -115,9 +115,11 @@ class _CountingBudget(am.Budget):
         super().__init__()
         self.k = k
         self.callers = []
+        self.entries = []
 
     def check(self, nodes=0, entries=0):
         self.callers.append(sys._getframe(1).f_code.co_name)
+        self.entries.append(entries)
         if len(self.callers) == self.k:
             raise am.LimitExceeded("timeout")
 
@@ -126,8 +128,9 @@ def test_tree_and_dmb_plan_check_the_budget_in_their_long_stretches():
     """`build_pseudo_tree` checks once per variable as it gets its parent
     and once as the DFS reaches it, after its elimination loop; a DMB
     compile checks after its subtree sort and after its factor split,
-    before `mini_bucket_schedule`. A limit that runs out in either stretch
-    stops the stage there."""
+    before `mini_bucket_schedule`, which checks once per scope it files
+    before it schedules any message. A limit that runs out in any of these
+    stretches stops the stage there."""
     net = random_chain(2000, 0)
     g = am.primal_graph(net)
     elim = am.min_fill_order(g)
@@ -145,7 +148,10 @@ def test_tree_and_dmb_plan_check_the_budget_in_their_long_stretches():
     evaluator.h_or(tree.root, [-1] * n)
     assert counted.callers[filed:filed + 3] == ["_compile", "_compile",
                                                "mini_bucket_schedule"]
-    for k in (filed + 1, filed + 2):
+    filing = slice(filed + 2, filed + 2 + len(factors))
+    assert counted.callers[filing] == ["mini_bucket_schedule"] * len(factors)
+    assert counted.entries[filing] == [0] * len(factors)  # no message yet
+    for k in (filed + 1, filed + 2, filed + 3):  # the last: the first scope filed
         evaluator = am.DmbEvaluator(factors, tree, 2, _CountingBudget(k))
         with pytest.raises(am.LimitExceeded, match="timeout"):
             evaluator.h_or(tree.root, [-1] * n)

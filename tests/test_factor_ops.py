@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import andor_mpe as am
 from andor_mpe import cli, heuristics, oracle
-from andor_mpe.factor_ops import FlatTable, LogFactor, combine, log_factors, max_out
+from andor_mpe.factor_ops import (LogFactor, combine, log_factors, max_out,
+                                  radix_pairs)
 from andor_mpe.model import Factor
 
 from helpers import close, reference_combine, reference_log_factors, restrict
@@ -95,14 +96,19 @@ def test_single_factor_combine_keeps_its_table():
     assert same(max_out(out, 3), restrict(f, {3: 0}))
 
 
-def test_flat_table_looks_up_every_entry():
+def test_row_looks_up_every_entry():
+    """A table's row, its flat list indexed by its `radix_pairs`, holds
+    every entry, and an `SmbEvaluator` whose one row it is reads them."""
     rng = np.random.default_rng(0)
     f = LogFactor((4, 0, 2), np.log(rng.random((2, 3, 1))))
-    fn = FlatTable(f)
+    flat = f.table.ravel().tolist()
+    pairs = radix_pairs(f.scope, f.table.shape)
+    smb = am.SmbEvaluator(0.0, {1: [(flat, pairs, 0)]}, len(flat))
     for idx in np.ndindex(f.table.shape):
         asg = dict(zip(f.scope, idx))
-        assert fn(asg) == f.table[idx]
-        assert fn([asg.get(v, 0) for v in range(5)]) == f.table[idx]
+        for a in (asg, [asg.get(v, 0) for v in range(5)]):
+            assert flat[sum(s * a[u] for u, s in pairs)] == f.table[idx]
+            assert smb.h_or(1, a) == f.table[idx]
 
 
 def _nets():
@@ -124,8 +130,8 @@ def test_compile_and_oracles_match_reference_algebra(monkeypatch):
             for i in (1, 2, 3):
                 tables = heuristics.compile_smb(convert(net.factors), tree, i)
                 out.append(repr(tables.root_bound))
-                out.extend(repr(fn.flat) for v in tree.elim.order
-                           for fn in tables.exiting[v])
+                out.extend(repr(row[0]) for v in tree.elim.order
+                           for row in tables.exiting[v])
                 dmb = heuristics.DmbEvaluator(convert(net.factors), tree, i)
                 out.append(repr(dmb.h_or(tree.root, {})))
             res = oracle.bucket_elimination_mpe(net, tree.elim)

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import andor_mpe as am
-from andor_mpe.factor_ops import FlatTable, log_factors
-from andor_mpe.heuristics import MiniBucketTables, mini_bucket_schedule
+from andor_mpe.factor_ops import log_factors
+from andor_mpe.heuristics import mini_bucket_schedule
 from andor_mpe.search import SearchProblem
 
 from helpers import (close, exact_subproblem_values, random_chain,
-                     reference_child_bounds, reference_dmb,
-                     reference_mini_bucket_pass, reference_weight)
+                     reference_child_bounds, reference_dmb, reference_smb,
+                     reference_weight)
 
 
 def small_net(seed, n_lo=4, n_hi=9, d=2):
@@ -244,32 +244,17 @@ def test_compiled_dmb_replays_the_reference_sweep(case, budget):
 
 
 def _smb_tables(net, tree, ibound, budget, sweep):
-    """The root bound, each node's exiting tables as (scope, entries) and
-    the entry count of `sweep`'s SMB tables, or the status of the
+    """The root bound, each node's exiting rows and the entry count of
+    `sweep`'s SMB heuristic, all by `repr`, or the status of the
     LimitExceeded that stopped it under a budget of `budget` entries."""
     try:
-        tables = sweep(log_factors(net.factors), tree, ibound,
-                       am.Budget(max_entries=budget))
+        smb = sweep(log_factors(net.factors), tree, ibound,
+                    am.Budget(max_entries=budget))
     except am.LimitExceeded as e:
         return e.status
-    exiting = {v: [(fn.scope, fn.flat) for fn in fns]
-               for v, fns in tables.exiting.items()}
-    return repr(tables.root_bound), exiting, tables.table_entries
-
-
-def _reference_smb(factors, tree, ibound, budget):
-    """SMB tables assembled from `reference_mini_bucket_pass` records."""
-    elim = tree.elim
-    constant, records = reference_mini_bucket_pass(
-        factors, list(elim.order), elim.position, ibound, budget)
-    exiting = {v: [] for v in elim.order}
-    for rec in records:
-        cur = rec.origin
-        while cur is not None and cur != rec.dest:
-            exiting[cur].append(FlatTable(rec.factor))
-            cur = tree.parent[cur]
-    entries = sum(rec.factor.table.size for rec in records)
-    return MiniBucketTables(constant, exiting, entries)
+    exiting = {v: [repr(row) for row in rows]
+               for v, rows in smb.exiting.items()}
+    return repr(smb.root_bound), exiting, smb.table_entries
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,4 +265,4 @@ def test_compile_smb_matches_the_reference_pass(case, budget):
     net, ibound = case
     tree = am.decompose(net)
     assert (_smb_tables(net, tree, ibound, budget, am.compile_smb)
-            == _smb_tables(net, tree, ibound, budget, _reference_smb))
+            == _smb_tables(net, tree, ibound, budget, reference_smb))

@@ -1,8 +1,10 @@
+import gc
 import math
 import random
 import sys
 import time
 import tracemalloc
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -412,6 +414,25 @@ def test_aobb_restores_recursion_limit():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_aobb_leaves_no_reference_cycle():
+    """With the cyclic collector off, the problem is freed as soon as
+    `aobb` has returned and the last reference to it is dropped, whether
+    the search solves or runs out of time."""
+    net = am.gen_random(10, 2, 8, 2, seed=1)
+    tree = am.decompose(net)
+    gc.disable()
+    try:
+        for heuristic in ("smb", "dmb"):
+            for budget in (am.Budget(), am.Budget(time_limit=0)):
+                problem = am.build_problem(net, tree, 2, heuristic=heuristic)
+                ref = weakref.ref(problem)
+                am.aobb(problem, budget)
+                del problem
+                assert ref() is None, (heuristic, budget.deadline)
+    finally:
+        gc.enable()
 
 
 def test_node_limit_memouts():
